@@ -10,11 +10,12 @@ collapses them to a single ``align(reads) -> AlignmentOutcome`` surface,
 and :func:`resolve_backend` is the one place that knows which concrete
 backend a given accession should use.
 
-Every backend hands whole read batches to its run loop, so all three
-execution shapes inherit the vectorized batch core
-(:mod:`repro.align.batch`) when ``StarParameters.batch_align`` is on —
-serial runs batch through ``StarAligner._outcome_stream``, paired runs
-batch both mate lists, and engine workers call ``align_batch`` per shard.
+Every backend is the same shard runner (:func:`repro.align.runner.
+run_shards`) with a different executor — inline, the engine's worker
+pool, or FaaS invocations — so all of them merge, early-stop and
+checkpoint identically, and every shard goes through the vectorized
+batch core (:mod:`repro.align.batch`) when ``StarParameters.batch_align``
+is on.
 
 The streaming pipeline adds :meth:`AlignerBackend.align_stream`: the
 same contract as ``align``, but fed by :class:`ReadChunkStream` — a lazy
@@ -28,22 +29,17 @@ applies).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Protocol, runtime_checkable
 
 from repro.align.counts import GeneCounts
-from repro.align.engine import (
-    _align_pairs,
-    _align_records,
-    _count_outcome,
-    _count_paired_outcome,
-    _shard_bounds,
+from repro.align.paired import PairedStarAligner
+from repro.align.runner import (
+    PairedEndCodec,
+    SingleEndCodec,
+    run_shards,
 )
-from repro.align.paired import PairedRunResult, PairedStarAligner, PairStatus
-from repro.align.progress import FinalLogStats, ProgressRecord
-from repro.align.star import AlignmentStatus, StarRunResult
 from repro.cloud.faas import (
     ExecutionCapExceeded,
     FaasService,
@@ -145,9 +141,9 @@ class AlignerBackend(Protocol):
         """Align ``reads``; honour the monitor's abort, write outputs if asked.
 
         ``checkpoint`` is an optional shard checkpointer (see
-        :class:`repro.core.replication.ShardCheckpointer`); backends
-        without shard-level recovery accept and ignore it — alignment
-        results never depend on it.
+        :class:`repro.core.replication.ShardCheckpointer`): shards it
+        holds are replayed instead of re-aligned, and each live shard is
+        recorded once merged.  Alignment results never depend on it.
         """
         ...
 
@@ -180,7 +176,9 @@ class SerialAlignerBackend:
     ) -> AlignmentOutcome:
         if reads.paired:
             raise ValueError("serial single-end backend got paired reads")
-        return self.aligner.run(reads.records, monitor=monitor, out_dir=out_dir)
+        return self.aligner.run(
+            reads.records, monitor=monitor, out_dir=out_dir, checkpoint=checkpoint
+        )
 
     def align_stream(
         self,
@@ -223,7 +221,9 @@ class PairedAlignerBackend:
         if not reads.paired:
             raise ValueError("paired backend got single-end reads")
         assert reads.mate2 is not None
-        return self.paired_aligner.run(reads.records, reads.mate2, monitor=monitor)
+        return self.paired_aligner.run(
+            reads.records, reads.mate2, monitor=monitor, checkpoint=checkpoint
+        )
 
     def align_stream(
         self,
@@ -287,12 +287,13 @@ class FaasAlignerBackend:
     """Serverless scatter-gather alignment over short-lived functions.
 
     The authors' follow-up paper replaces long-lived workers with FaaS:
-    one accession's reads are sharded along the engine's
-    ``_shard_bounds`` schedule and each shard becomes one function
-    invocation against a simulated :class:`~repro.cloud.faas.FaasService`.
-    The *function body* is the same pure batch helper a pool worker runs
-    (``_align_records`` / ``_align_pairs``), and the gather side is the
-    engine's merge loop verbatim — so results are byte-identical to the
+    one accession's reads go through the shard runner
+    (:func:`repro.align.runner.run_shards`) with each shard executed as
+    one function invocation against a simulated
+    :class:`~repro.cloud.faas.FaasService`.  The *function body* is the
+    same pure per-shard function a pool worker runs (the codec's
+    ``align``), and the gather side is the runner's ordered merge
+    that every backend shares — so results are byte-identical to the
     serial and engine backends.
 
     What the service can throw, the backend absorbs:
@@ -469,13 +470,14 @@ class FaasAlignerBackend:
                 self.throttle_retries += 1
                 self.virtual_now += self.retry.delay_for(attempt)
                 continue
-            # the function body: the same pure helpers a pool worker runs,
-            # so the shard result is byte-identical wherever it executes
+            # the function body: the same pure per-shard function a pool
+            # worker runs, so the shard result is byte-identical wherever
+            # it executes
             if paired:
-                value = _align_pairs(self._paired_aligner(), payload)
+                value = PairedEndCodec(self._paired_aligner()).align(payload)
                 n_reads = len(payload[0])
             else:
-                value = _align_records(self.aligner, payload)
+                value = SingleEndCodec(self.aligner).align(payload)
                 n_reads = len(payload)
             duration = n_reads * self.seconds_per_read
             self.virtual_now += invocation.cold_start_seconds + min(
@@ -552,12 +554,23 @@ class FaasAlignerBackend:
         checkpoint: Any = None,
     ) -> AlignmentOutcome:
         if reads.paired:
-            assert reads.mate2 is not None
-            return self._align_paired(
-                reads.records, reads.mate2, monitor=monitor, checkpoint=checkpoint
-            )
-        return self._align_single(
-            reads.records, monitor=monitor, out_dir=out_dir, checkpoint=checkpoint
+            codec = PairedEndCodec(self._paired_aligner())
+            items = zip(reads.records, reads.mate2)
+        else:
+            codec = SingleEndCodec(self.aligner)
+            items = reads.records
+        return run_shards(
+            codec,
+            items,
+            total=len(reads),
+            shard=self.shard_size(reads.records, reads.mate2),
+            executor=lambda payloads: (
+                (payload, self._execute_shard(payload, paired=reads.paired))
+                for payload in payloads
+            ),
+            monitor=monitor,
+            checkpoint=checkpoint,
+            out_dir=out_dir,
         )
 
     def align_stream(
@@ -571,235 +584,6 @@ class FaasAlignerBackend:
         request payloads, so there is no intra-accession overlap to win —
         inter-accession prefetch overlap still applies."""
         return self.align(stream.materialize(), monitor=monitor, out_dir=out_dir)
-
-    def _align_single(
-        self,
-        records: list[FastqRecord],
-        *,
-        monitor: ProgressMonitorHook | None,
-        out_dir: Path | str | None,
-        checkpoint: Any,
-    ) -> StarRunResult:
-        """The engine's single-end merge loop over invocation results."""
-        params = self.aligner.parameters
-        if not isinstance(records, list):
-            records = list(records)
-        total = len(records)
-        clock = time.monotonic
-        started = clock()
-
-        outcomes: list = []
-        progress: list[ProgressRecord] = []
-        quant = (
-            params.quant_gene_counts and self.aligner.index.annotation is not None
-        )
-        counts = GeneCounts(self.aligner.index.annotation) if quant else None
-        unique = multi = too_many = unmapped = spliced_n = 0
-        mismatch_bases = 0
-        aligned_bases = 0
-        aborted = False
-
-        def snapshot() -> ProgressRecord:
-            return ProgressRecord(
-                elapsed_seconds=max(0.0, clock() - started),
-                reads_processed=len(outcomes),
-                reads_total=total,
-                mapped_unique=unique,
-                mapped_multi=multi,
-            )
-
-        shard = self.shard_size(records)
-        bounds = _shard_bounds(total, shard) if total else []
-        cached = (
-            {b: checkpoint.load(b[0], b[1]) for b in bounds}
-            if checkpoint is not None
-            else {}
-        )
-        for span in bounds:
-            s, e = span
-            batch = records[s:e]
-            hit = cached.get(span)
-            replayed = hit is not None
-            value = hit if replayed else self._execute_shard(batch, paired=False)
-            batch_outcomes, partial, seed_stats = value
-            consumed = 0
-            for record, outcome in zip(batch, batch_outcomes):
-                outcomes.append(outcome)
-                consumed += 1
-                if outcome.status is AlignmentStatus.UNIQUE:
-                    unique += 1
-                    if outcome.spliced:
-                        spliced_n += 1
-                    mismatch_bases += outcome.mismatches
-                    aligned_bases += record.length
-                elif outcome.status is AlignmentStatus.MULTIMAPPED:
-                    multi += 1
-                elif outcome.status is AlignmentStatus.TOO_MANY_LOCI:
-                    too_many += 1
-                else:
-                    unmapped += 1
-                if len(outcomes) % params.progress_every == 0:
-                    rec = snapshot()
-                    progress.append(rec)
-                    if monitor is not None and not monitor(rec):
-                        aborted = True
-                        break
-            if counts is not None:
-                if consumed == len(batch_outcomes) and partial is not None:
-                    counts.merge_partial(partial)
-                else:
-                    for outcome in batch_outcomes[:consumed]:
-                        _count_outcome(counts, outcome)
-            if (
-                checkpoint is not None
-                and not replayed
-                and not aborted
-                and consumed == len(batch_outcomes)
-            ):
-                checkpoint.record(s, e, batch_outcomes, partial, seed_stats)
-            if aborted:
-                break
-
-        final_snapshot = snapshot()
-        if not progress or progress[-1].reads_processed != len(outcomes):
-            progress.append(final_snapshot)
-            if not aborted and monitor is not None and not monitor(final_snapshot):
-                aborted = True
-
-        final = FinalLogStats(
-            reads_total=total,
-            reads_processed=len(outcomes),
-            mapped_unique=unique,
-            mapped_multi=multi,
-            too_many_loci=too_many,
-            unmapped=unmapped,
-            mismatch_rate=(mismatch_bases / aligned_bases) if aligned_bases else 0.0,
-            spliced_reads=spliced_n,
-            elapsed_seconds=max(0.0, clock() - started),
-            aborted=aborted,
-        )
-        result = StarRunResult(
-            outcomes=outcomes,
-            progress=progress,
-            final=final,
-            gene_counts=counts,
-            aborted=aborted,
-        )
-        if out_dir is not None:
-            result.write_outputs(out_dir)
-        return result
-
-    def _align_paired(
-        self,
-        mate1: list[FastqRecord],
-        mate2: list[FastqRecord],
-        *,
-        monitor: ProgressMonitorHook | None,
-        checkpoint: Any,
-    ) -> PairedRunResult:
-        """The engine's paired merge loop over invocation results."""
-        params = self._paired_aligner().parameters
-        total = len(mate1)
-        clock = time.monotonic
-        started = clock()
-        outcomes: list = []
-        progress: list[ProgressRecord] = []
-        quant = (
-            params.quant_gene_counts and self.aligner.index.annotation is not None
-        )
-        counts = GeneCounts(self.aligner.index.annotation) if quant else None
-        proper = one_mate = discordant = multi = unmapped = 0
-        aborted = False
-
-        def snapshot() -> ProgressRecord:
-            return ProgressRecord(
-                elapsed_seconds=max(0.0, clock() - started),
-                reads_processed=len(outcomes),
-                reads_total=total,
-                mapped_unique=proper + one_mate + discordant,
-                mapped_multi=multi,
-            )
-
-        shard = self.shard_size(mate1, mate2)
-        bounds = _shard_bounds(total, shard) if total else []
-        cached = (
-            {b: checkpoint.load(b[0], b[1]) for b in bounds}
-            if checkpoint is not None
-            else {}
-        )
-        for span in bounds:
-            s, e = span
-            hit = cached.get(span)
-            replayed = hit is not None
-            value = (
-                hit
-                if replayed
-                else self._execute_shard((mate1[s:e], mate2[s:e]), paired=True)
-            )
-            batch_outcomes, partial, seed_stats = value
-            consumed = 0
-            for outcome in batch_outcomes:
-                outcomes.append(outcome)
-                consumed += 1
-                if outcome.status is PairStatus.PROPER_PAIR:
-                    proper += 1
-                elif outcome.status is PairStatus.ONE_MATE:
-                    one_mate += 1
-                elif outcome.status is PairStatus.DISCORDANT:
-                    discordant += 1
-                elif outcome.status is PairStatus.MULTIMAPPED:
-                    multi += 1
-                else:
-                    unmapped += 1
-                if len(outcomes) % params.progress_every == 0:
-                    rec = snapshot()
-                    progress.append(rec)
-                    if monitor is not None and not monitor(rec):
-                        aborted = True
-                        break
-            if counts is not None:
-                if consumed == len(batch_outcomes) and partial is not None:
-                    counts.merge_partial(partial)
-                else:
-                    for outcome in batch_outcomes[:consumed]:
-                        _count_paired_outcome(counts, outcome)
-            if (
-                checkpoint is not None
-                and not replayed
-                and not aborted
-                and consumed == len(batch_outcomes)
-            ):
-                checkpoint.record(s, e, batch_outcomes, partial, seed_stats)
-            if aborted:
-                break
-
-        final_snapshot = snapshot()
-        if not progress or progress[-1].reads_processed != len(outcomes):
-            progress.append(final_snapshot)
-            if not aborted and monitor is not None and not monitor(final_snapshot):
-                aborted = True
-
-        final = FinalLogStats(
-            reads_total=total,
-            reads_processed=len(outcomes),
-            mapped_unique=proper + one_mate + discordant,
-            mapped_multi=multi,
-            too_many_loci=0,
-            unmapped=unmapped,
-            mismatch_rate=0.0,
-            spliced_reads=sum(
-                o.mate1.spliced or o.mate2.spliced for o in outcomes
-            ),
-            elapsed_seconds=max(0.0, clock() - started),
-            aborted=aborted,
-        )
-        return PairedRunResult(
-            outcomes=outcomes,
-            progress=progress,
-            final=final,
-            gene_counts=counts,
-            aborted=aborted,
-        )
 
 
 def resolve_backend(

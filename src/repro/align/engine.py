@@ -11,23 +11,21 @@ This module reproduces both levers for the in-process aligner:
   in zero-copy numpy views instead of each receiving a ~9 byte/base
   pickle;
 
-* :class:`ParallelStarAligner` shards a read stream into batches,
-  dispatches them to a persistent worker pool, and merges the per-batch
-  results **deterministically in read order**, so the merged
-  :class:`~repro.align.star.StarRunResult` is identical to what the
-  serial :class:`~repro.align.star.StarAligner` produces — outcomes,
-  progress snapshots, final stats, and gene counts alike.
+* :class:`ParallelStarAligner` is the worker-pool executor of the
+  shard runner (:func:`repro.align.runner.run_shards`): it dispatches
+  shards to a persistent pool and hands results back **in read order**,
+  so the merged :class:`~repro.align.star.StarRunResult` is identical to
+  what the serial :class:`~repro.align.star.StarAligner` produces —
+  outcomes, progress snapshots, final stats, and gene counts alike.
 
-The early-stopping contract survives parallelism: the monitor hook sees
-merged :class:`~repro.align.progress.ProgressRecord` values in read
-order at exactly the serial cadence, and an abort stops the merge at the
-same read the serial loop would have stopped at, cancels every batch not
-yet dispatched, and abandons the (bounded) in-flight window.
+The early-stopping contract survives parallelism: the runner's merge
+sees shards in read order, so an abort stops at the same read the serial
+run stops at; shards not yet dispatched are never pulled, and the
+(bounded) in-flight window is abandoned.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing as mp
 import os
 import signal
@@ -43,25 +41,25 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.align.counts import GeneCounts, GeneCountsPartial
 from repro.align.index import GenomeIndex
-from repro.align.suffix_array import PrefixJumpTable, SeedSearchStats
 from repro.align.paired import (
-    PairedOutcome,
     PairedParameters,
     PairedRunResult,
     PairedStarAligner,
-    PairStatus,
 )
-from repro.align.progress import FinalLogStats, ProgressRecord
+from repro.align.runner import (
+    PairedEndCodec,
+    ShardValue,
+    SingleEndCodec,
+    run_shards,
+)
 from repro.align.star import (
-    ReadAlignment,
-    AlignmentStatus,
     ProgressMonitorHook,
     StarAligner,
     StarParameters,
     StarRunResult,
 )
+from repro.align.suffix_array import PrefixJumpTable, SeedSearchStats
 from repro.genome.annotation import Annotation
 from repro.reads.fastq import FastqRecord
 
@@ -236,172 +234,21 @@ def _init_worker(
     # Build the search context now (bytes genome + zero-copy SA view):
     # paying it at init keeps the first batch's latency flat.
     index.search_context  # noqa: B018 - intentional warm-up
-    _WORKER["aligner"] = aligner
-    _WORKER["paired"] = PairedStarAligner(aligner, paired_parameters)
+    _WORKER["se"] = SingleEndCodec(aligner)
+    _WORKER["pe"] = PairedEndCodec(PairedStarAligner(aligner, paired_parameters))
     _WORKER["handles"] = handles
 
 
-def _quant_enabled(aligner: StarAligner) -> bool:
-    return (
-        aligner.parameters.quant_gene_counts
-        and aligner.index.annotation is not None
-    )
-
-
-def _align_records(
-    aligner: StarAligner, records: list[FastqRecord]
-) -> tuple[list[ReadAlignment], GeneCountsPartial | None, dict]:
-    """Align one single-end batch with a given aligner (pure; no globals).
-
-    Shared by pool workers and the parent's serial fallback, so a batch
-    produces identical results wherever it runs.  The third element is
-    this batch's seed-search counter delta (see
-    :class:`~repro.align.suffix_array.SeedSearchStats`), which the merge
-    loop folds into :attr:`EngineHealth.seed_search`.
-    """
-    counts = (
-        GeneCounts(aligner.index.annotation) if _quant_enabled(aligner) else None
-    )
-    stats = aligner.index.search_context.stats
-    before = stats.snapshot()
-    # align_batch routes through the vectorized batch core when the
-    # parameters enable it (the per-read loop otherwise) — either way the
-    # outcomes are bit-identical, so workers and the parent's serial
-    # fallback stay interchangeable.
-    outcomes = aligner.align_batch(records)
-    if counts is not None:
-        for outcome in outcomes:
-            _count_outcome(counts, outcome)
-    return (
-        outcomes,
-        counts.to_partial() if counts is not None else None,
-        stats.since(before),
-    )
-
-
-def _align_pairs(
-    paired: PairedStarAligner,
-    batch: tuple[list[FastqRecord], list[FastqRecord]],
-) -> tuple[list[PairedOutcome], GeneCountsPartial | None, dict]:
-    """Align one paired batch with a given paired aligner (pure; no globals)."""
-    quant = (
-        paired.parameters.quant_gene_counts
-        and paired.aligner.index.annotation is not None
-    )
-    counts = GeneCounts(paired.aligner.index.annotation) if quant else None
-    stats = paired.aligner.index.search_context.stats
-    before = stats.snapshot()
-    # both mate lists go through the batch core as whole batches, then
-    # pairing runs per-pair — same decomposition as PairedStarAligner.run
-    mates1 = paired.aligner.align_batch(batch[0])
-    mates2 = paired.aligner.align_batch(batch[1])
-    outcomes = []
-    for r1, m1, m2 in zip(batch[0], mates1, mates2):
-        outcome = paired._pair_outcome(r1, m1, m2)
-        outcomes.append(outcome)
-        if counts is not None:
-            _count_paired_outcome(counts, outcome)
-    return (
-        outcomes,
-        counts.to_partial() if counts is not None else None,
-        stats.since(before),
-    )
-
-
-def _align_batch(
-    records: list[FastqRecord],
-) -> tuple[list[ReadAlignment], GeneCountsPartial | None, dict]:
+def _align_batch(records: list[FastqRecord]) -> ShardValue:
     """Pool entry point: align one single-end batch with the worker aligner."""
-    return _align_records(_WORKER["aligner"], records)
+    return _WORKER["se"].align(records)
 
 
 def _align_batch_paired(
     batch: tuple[list[FastqRecord], list[FastqRecord]],
-) -> tuple[list[PairedOutcome], GeneCountsPartial | None, dict]:
+) -> ShardValue:
     """Pool entry point: align one paired batch with the worker aligner."""
-    return _align_pairs(_WORKER["paired"], batch)
-
-
-def _tail_floor(shard: int) -> int:
-    """Minimum size worth dispatching as its own final shard."""
-    return max(1, shard // 4)
-
-
-def _shard_bounds(total: int, shard: int) -> list[tuple[int, int]]:
-    """Slice bounds for ``total`` reads in ``shard``-sized pieces.
-
-    A degenerate tail (shorter than a quarter shard) is merged into the
-    previous shard instead of being dispatched on its own — streaming
-    produces arbitrary tail chunks, and a near-empty final dispatch
-    costs a full worker round-trip for a handful of reads.  Results are
-    unaffected: merging only moves a batch boundary, and outcomes are
-    batch-boundary invariant.
-    """
-    bounds = [
-        (start, min(start + shard, total)) for start in range(0, total, shard)
-    ]
-    if len(bounds) >= 2 and bounds[-1][1] - bounds[-1][0] < _tail_floor(shard):
-        start, end = bounds.pop()
-        prev_start, _ = bounds.pop()
-        bounds.append((prev_start, end))
-    return bounds
-
-
-def _iter_shards(records: Iterable, shard: int) -> Iterator[list]:
-    """Lazily shard any record iterable, merging a degenerate tail.
-
-    One full shard is held back so the final short tail (when smaller
-    than :func:`_tail_floor`) can be merged into it — the streaming
-    equivalent of :func:`_shard_bounds`, pulling no more than one shard
-    ahead of what has been dispatched.
-    """
-    it = iter(records)
-    held = list(itertools.islice(it, shard))
-    if not held:
-        return
-    while True:
-        nxt = list(itertools.islice(it, shard))
-        if not nxt:
-            yield held
-            return
-        if len(nxt) < _tail_floor(shard):
-            # short tail implies the iterable is exhausted
-            held.extend(nxt)
-            yield held
-            return
-        yield held
-        held = nxt
-
-
-def _count_outcome(counts: GeneCounts, outcome: ReadAlignment) -> None:
-    """The serial run loop's per-read GeneCounts bookkeeping, verbatim."""
-    if outcome.status is AlignmentStatus.UNIQUE:
-        counts.record_unique(list(outcome.blocks), outcome.strand)
-    elif outcome.status in (
-        AlignmentStatus.MULTIMAPPED,
-        AlignmentStatus.TOO_MANY_LOCI,
-    ):
-        counts.record_multimapped()
-    else:
-        counts.record_unmapped()
-
-
-def _count_paired_outcome(counts: GeneCounts, outcome: PairedOutcome) -> None:
-    """The paired run loop's per-pair GeneCounts bookkeeping, verbatim."""
-    if outcome.status is PairStatus.PROPER_PAIR:
-        blocks = list(outcome.mate1.blocks) + list(outcome.mate2.blocks)
-        counts.record_unique(blocks, outcome.mate1.strand)
-    elif outcome.status is PairStatus.ONE_MATE:
-        unique = (
-            outcome.mate1
-            if outcome.mate1.status is AlignmentStatus.UNIQUE
-            else outcome.mate2
-        )
-        counts.record_unique(list(unique.blocks), unique.strand)
-    elif outcome.status in (PairStatus.DISCORDANT, PairStatus.MULTIMAPPED):
-        counts.record_multimapped()
-    else:
-        counts.record_unmapped()
+    return _WORKER["pe"].align(batch)
 
 
 # --------------------------------------------------------------------------
@@ -708,8 +555,8 @@ class ParallelStarAligner:
         in a worker — same pure batch helper, different aligner instance,
         byte-identical results."""
         if fn is _align_batch:
-            return lambda payload: _align_records(self._local_aligner(), payload)
-        return lambda payload: _align_pairs(self._local_paired_aligner(), payload)
+            return SingleEndCodec(self._local_aligner()).align
+        return PairedEndCodec(self._local_paired_aligner()).align
 
     def _workers_changed(self) -> bool:
         """True when the worker set lost a member since the last snapshot."""
@@ -894,7 +741,7 @@ class ParallelStarAligner:
                 ):
                     self._restart_pool()
 
-    # -- single-end ------------------------------------------------------------
+    # -- runs ------------------------------------------------------------------
 
     def run(
         self,
@@ -911,159 +758,25 @@ class ParallelStarAligner:
         ``records`` may be a lazy iterable (e.g. a streamed chunk feed)
         when ``reads_total`` is given — shards are pulled as they become
         available and results stay byte-identical to the list path.
-
-        ``checkpoint`` (a :class:`repro.core.replication.
-        ShardCheckpointer`) turns on shard-level recovery: shards whose
-        outcomes the journal already holds are merged from the
-        checkpoint instead of re-aligned, and each fully merged live
-        shard is journaled as it lands.  The merged result is
-        byte-identical to an uncheckpointed run — checkpointing only
-        decides *where outcomes come from*, never what they are.
-        Requires materialized records (the shard schedule is positional),
-        so a lazy feed is drained up front when a checkpoint is given.
+        ``checkpoint`` works as in :func:`repro.align.runner.run_shards`.
         """
-        params = self.parameters
-        if reads_total is None or checkpoint is not None:
-            if not isinstance(records, list):
-                records = list(records)
-            total = len(records)
-        else:
-            total = reads_total
-        started = clock()
-
-        outcomes: list[ReadAlignment] = []
-        progress: list[ProgressRecord] = []
-        quant = params.quant_gene_counts and self.index.annotation is not None
-        counts = GeneCounts(self.index.annotation) if quant else None
-        unique = multi = too_many = unmapped = spliced_n = 0
-        mismatch_bases = 0
-        aligned_bases = 0
-        aborted = False
-
-        def snapshot() -> ProgressRecord:
-            return ProgressRecord(
-                elapsed_seconds=max(0.0, clock() - started),
-                reads_processed=len(outcomes),
-                reads_total=total,
-                mapped_unique=unique,
-                mapped_multi=multi,
-            )
-
-        shard = self._shard_size(total)
-        if checkpoint is not None:
-            bounds = _shard_bounds(total, shard) if total else []
-            cached = {b: checkpoint.load(b[0], b[1]) for b in bounds}
-            live_iter = self._ordered_results(
-                _align_batch,
-                (records[s:e] for s, e in bounds if cached[(s, e)] is None),
-            )
-
-            def _interleaved():
-                # walk the shard schedule in order, serving cached shards
-                # from the journal and live ones from the pool stream —
-                # the merge loop below sees the same ordered sequence an
-                # uncheckpointed run would produce
-                for s, e in bounds:
-                    hit = cached[(s, e)]
-                    if hit is not None:
-                        yield (s, e), records[s:e], hit, True
-                    else:
-                        batch, value = next(live_iter)
-                        yield (s, e), batch, value, False
-
-            results_iter = _interleaved()
-            close_results = live_iter.close
-        else:
-            batches = _iter_shards(records, shard)
-            plain_iter = self._ordered_results(_align_batch, batches)
-            results_iter = (
-                (None, batch, value, False) for batch, value in plain_iter
-            )
-            close_results = plain_iter.close
-        # closed explicitly so the pool-restart finalizer in
-        # _ordered_results runs before this method returns, not at GC time
-        try:
-            for span, batch, (batch_outcomes, partial, seed_stats), replayed in results_iter:
-                self.health.seed_search.merge(seed_stats)
-                if params.batch_align:
-                    self.health.batch_core_batches += 1
-                consumed = 0
-                for record, outcome in zip(batch, batch_outcomes):
-                    outcomes.append(outcome)
-                    consumed += 1
-                    if outcome.status is AlignmentStatus.UNIQUE:
-                        unique += 1
-                        if outcome.spliced:
-                            spliced_n += 1
-                        mismatch_bases += outcome.mismatches
-                        aligned_bases += record.length
-                    elif outcome.status is AlignmentStatus.MULTIMAPPED:
-                        multi += 1
-                    elif outcome.status is AlignmentStatus.TOO_MANY_LOCI:
-                        too_many += 1
-                    else:
-                        unmapped += 1
-                    if len(outcomes) % params.progress_every == 0:
-                        rec = snapshot()
-                        progress.append(rec)
-                        if monitor is not None and not monitor(rec):
-                            aborted = True
-                            break
-                if counts is not None:
-                    if consumed == len(batch_outcomes) and partial is not None:
-                        counts.merge_partial(partial)
-                    else:
-                        # the abort truncated this batch mid-way: recount
-                        # just the consumed prefix so counts match the
-                        # serial run
-                        for outcome in batch_outcomes[:consumed]:
-                            _count_outcome(counts, outcome)
-                if (
-                    checkpoint is not None
-                    and not replayed
-                    and not aborted
-                    and consumed == len(batch_outcomes)
-                ):
-                    # the shard is fully merged into the run state; its
-                    # outcomes are now safe to reuse on a future resume
-                    checkpoint.record(
-                        span[0], span[1], batch_outcomes, partial, seed_stats
-                    )
-                if aborted:
-                    break
-        finally:
-            close_results()
-
-        final_snapshot = snapshot()
-        if not progress or progress[-1].reads_processed != len(outcomes):
-            progress.append(final_snapshot)
-            if not aborted and monitor is not None and not monitor(final_snapshot):
-                aborted = True
-
-        final = FinalLogStats(
-            reads_total=total,
-            reads_processed=len(outcomes),
-            mapped_unique=unique,
-            mapped_multi=multi,
-            too_many_loci=too_many,
-            unmapped=unmapped,
-            mismatch_rate=(mismatch_bases / aligned_bases) if aligned_bases else 0.0,
-            spliced_reads=spliced_n,
-            elapsed_seconds=max(0.0, clock() - started),
-            aborted=aborted,
+        if reads_total is None:
+            records = list(records)
+            reads_total = len(records)
+        return run_shards(
+            SingleEndCodec(self._local_aligner()),
+            records,
+            total=reads_total,
+            shard=self._shard_size(reads_total),
+            executor=lambda payloads: self._ordered_results(
+                _align_batch, payloads
+            ),
+            monitor=monitor,
+            clock=clock,
+            checkpoint=checkpoint,
+            health=self.health,
+            out_dir=out_dir,
         )
-        result = StarRunResult(
-            outcomes=outcomes,
-            progress=progress,
-            final=final,
-            gene_counts=counts,
-            aborted=aborted,
-        )
-        if out_dir is not None:
-            result.write_outputs(out_dir)
-        return result
-
-    # -- paired-end --------------------------------------------------------------
 
     def run_paired(
         self,
@@ -1074,137 +787,19 @@ class ParallelStarAligner:
         clock: Callable[[], float] = time.monotonic,
         checkpoint=None,
     ) -> PairedRunResult:
-        """Parallel equivalent of :meth:`PairedStarAligner.run`.
-
-        ``checkpoint`` has the same contract as in :meth:`run`: paired
-        shards already in the journal are merged from it instead of
-        re-aligned, and each fully merged live shard is journaled as it
-        lands (the payload codec round-trips :class:`PairedOutcome`
-        lists — see :mod:`repro.core.replication`).
-        """
+        """Parallel equivalent of :meth:`PairedStarAligner.run`."""
         if len(mate1) != len(mate2):
             raise ValueError("mate lists must have equal length")
-        params = self.paired_parameters
-        total = len(mate1)
-        started = clock()
-        outcomes: list[PairedOutcome] = []
-        progress: list[ProgressRecord] = []
-        quant = params.quant_gene_counts and self.index.annotation is not None
-        counts = GeneCounts(self.index.annotation) if quant else None
-        proper = one_mate = discordant = multi = unmapped = 0
-        aborted = False
-
-        def snapshot() -> ProgressRecord:
-            return ProgressRecord(
-                elapsed_seconds=max(0.0, clock() - started),
-                reads_processed=len(outcomes),
-                reads_total=total,
-                mapped_unique=proper + one_mate + discordant,
-                mapped_multi=multi,
-            )
-
-        shard = self._shard_size(total)
-        bounds = _shard_bounds(total, shard)
-        batches = [(mate1[s:e], mate2[s:e]) for s, e in bounds]
-        if checkpoint is not None:
-            cached = {b: checkpoint.load(b[0], b[1]) for b in bounds}
-            live_iter = self._ordered_results(
-                _align_batch_paired,
-                (
-                    batch
-                    for b, batch in zip(bounds, batches)
-                    if cached[b] is None
-                ),
-            )
-
-            def _interleaved():
-                # same ordered interleave as the single-end run: cached
-                # shards from the journal, live ones from the pool stream
-                for b in bounds:
-                    hit = cached[b]
-                    if hit is not None:
-                        yield b, hit, True
-                    else:
-                        _payload, value = next(live_iter)
-                        yield b, value, False
-
-            results_iter = _interleaved()
-            close_results = live_iter.close
-        else:
-            plain_iter = self._ordered_results(_align_batch_paired, batches)
-            results_iter = (
-                (None, value, False) for _payload, value in plain_iter
-            )
-            close_results = plain_iter.close
-        try:
-            for span, (batch_outcomes, partial, seed_stats), replayed in results_iter:
-                self.health.seed_search.merge(seed_stats)
-                if self.parameters.batch_align:
-                    self.health.batch_core_batches += 1
-                consumed = 0
-                for outcome in batch_outcomes:
-                    outcomes.append(outcome)
-                    consumed += 1
-                    if outcome.status is PairStatus.PROPER_PAIR:
-                        proper += 1
-                    elif outcome.status is PairStatus.ONE_MATE:
-                        one_mate += 1
-                    elif outcome.status is PairStatus.DISCORDANT:
-                        discordant += 1
-                    elif outcome.status is PairStatus.MULTIMAPPED:
-                        multi += 1
-                    else:
-                        unmapped += 1
-                    if len(outcomes) % params.progress_every == 0:
-                        rec = snapshot()
-                        progress.append(rec)
-                        if monitor is not None and not monitor(rec):
-                            aborted = True
-                            break
-                if counts is not None:
-                    if consumed == len(batch_outcomes) and partial is not None:
-                        counts.merge_partial(partial)
-                    else:
-                        for outcome in batch_outcomes[:consumed]:
-                            _count_paired_outcome(counts, outcome)
-                if (
-                    checkpoint is not None
-                    and not replayed
-                    and not aborted
-                    and consumed == len(batch_outcomes)
-                ):
-                    checkpoint.record(
-                        span[0], span[1], batch_outcomes, partial, seed_stats
-                    )
-                if aborted:
-                    break
-        finally:
-            close_results()
-
-        final_snapshot = snapshot()
-        if not progress or progress[-1].reads_processed != len(outcomes):
-            progress.append(final_snapshot)
-            if not aborted and monitor is not None and not monitor(final_snapshot):
-                aborted = True
-
-        final = FinalLogStats(
-            reads_total=total,
-            reads_processed=len(outcomes),
-            mapped_unique=proper + one_mate + discordant,
-            mapped_multi=multi,
-            too_many_loci=0,
-            unmapped=unmapped,
-            mismatch_rate=0.0,
-            spliced_reads=sum(
-                o.mate1.spliced or o.mate2.spliced for o in outcomes
+        return run_shards(
+            PairedEndCodec(self._local_paired_aligner()),
+            zip(mate1, mate2),
+            total=len(mate1),
+            shard=self._shard_size(len(mate1)),
+            executor=lambda payloads: self._ordered_results(
+                _align_batch_paired, payloads
             ),
-            elapsed_seconds=max(0.0, clock() - started),
-            aborted=aborted,
-        )
-        return PairedRunResult(
-            outcomes=outcomes,
-            progress=progress,
-            final=final,
-            gene_counts=counts,
-            aborted=aborted,
+            monitor=monitor,
+            clock=clock,
+            checkpoint=checkpoint,
+            health=self.health,
         )

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import time
 
@@ -203,105 +202,27 @@ class PairedStarAligner:
         *,
         monitor: Callable[[ProgressRecord], bool] | None = None,
         clock: Callable[[], float] = time.monotonic,
+        checkpoint=None,
     ) -> PairedRunResult:
         """Align a paired sample with progress reporting and early abort.
 
         Progress counts *pairs*; the monitor hook and abort semantics match
         the single-end driver, so :class:`~repro.core.early_stopping.
-        EarlyStopMonitor` plugs in unchanged.
+        EarlyStopMonitor` plugs in unchanged.  Both mate lists go through
+        the batch core in ``align_batch_size`` groups; ``checkpoint`` turns
+        on shard checkpoints (see :func:`repro.align.runner.run_shards`).
         """
+        from repro.align.runner import PairedEndCodec, run_shards
+
         if len(mate1) != len(mate2):
             raise ValueError("mate lists must have equal length")
-        params = self.parameters
-        total = len(mate1)
-        started = clock()
-        outcomes: list[PairedOutcome] = []
-        progress: list[ProgressRecord] = []
-        counts = (
-            GeneCounts(self.aligner.index.annotation)
-            if params.quant_gene_counts and self.aligner.index.annotation is not None
-            else None
-        )
-        proper = one_mate = discordant = multi = unmapped = 0
-        aborted = False
-
-        def snapshot() -> ProgressRecord:
-            return ProgressRecord(
-                elapsed_seconds=max(0.0, clock() - started),
-                reads_processed=len(outcomes),
-                reads_total=total,
-                mapped_unique=proper + one_mate + discordant,
-                mapped_multi=multi,
-            )
-
-        # Both mate lists stream through the batch core independently
-        # (see StarAligner._outcome_stream); pairing happens per-pair so
-        # progress/abort bookkeeping is untouched, and an abort mid-batch
-        # just discards the rest of that batch's results.
-        mate_stream = zip(
-            self.aligner._outcome_stream(mate1),
-            self.aligner._outcome_stream(mate2),
-        )
-        for i, (r1, (m1, m2)) in enumerate(zip(mate1, mate_stream)):
-            outcome = self._pair_outcome(r1, m1, m2)
-            outcomes.append(outcome)
-            if outcome.status is PairStatus.PROPER_PAIR:
-                proper += 1
-                if counts is not None:
-                    blocks = list(outcome.mate1.blocks) + list(outcome.mate2.blocks)
-                    counts.record_unique(blocks, outcome.mate1.strand)
-            elif outcome.status is PairStatus.ONE_MATE:
-                one_mate += 1
-                if counts is not None:
-                    unique = (
-                        outcome.mate1
-                        if outcome.mate1.status is AlignmentStatus.UNIQUE
-                        else outcome.mate2
-                    )
-                    counts.record_unique(list(unique.blocks), unique.strand)
-            elif outcome.status is PairStatus.DISCORDANT:
-                discordant += 1
-                if counts is not None:
-                    counts.record_multimapped()
-            elif outcome.status is PairStatus.MULTIMAPPED:
-                multi += 1
-                if counts is not None:
-                    counts.record_multimapped()
-            else:
-                unmapped += 1
-                if counts is not None:
-                    counts.record_unmapped()
-            if (i + 1) % params.progress_every == 0:
-                rec = snapshot()
-                progress.append(rec)
-                if monitor is not None and not monitor(rec):
-                    aborted = True
-                    break
-
-        final_snapshot = snapshot()
-        if not progress or progress[-1].reads_processed != len(outcomes):
-            progress.append(final_snapshot)
-            if not aborted and monitor is not None and not monitor(final_snapshot):
-                aborted = True
-
-        final = FinalLogStats(
-            reads_total=total,
-            reads_processed=len(outcomes),
-            mapped_unique=proper + one_mate + discordant,
-            mapped_multi=multi,
-            too_many_loci=0,
-            unmapped=unmapped,
-            mismatch_rate=0.0,
-            spliced_reads=sum(
-                o.mate1.spliced or o.mate2.spliced for o in outcomes
-            ),
-            elapsed_seconds=max(0.0, clock() - started),
-            aborted=aborted,
-        )
-        return PairedRunResult(
-            outcomes=outcomes,
-            progress=progress,
-            final=final,
-            gene_counts=counts,
-            aborted=aborted,
+        return run_shards(
+            PairedEndCodec(self),
+            zip(mate1, mate2),
+            total=len(mate1),
+            shard=self.aligner.parameters.align_batch_size,
+            hold_back=False,
+            monitor=monitor,
+            clock=clock,
+            checkpoint=checkpoint,
         )

@@ -1,0 +1,465 @@
+"""The one shard runner behind every whole-run alignment.
+
+A run splits its reads into shards, computes each shard with a pure
+per-shard function, and merges the shard values strictly in read order
+into one :class:`~repro.align.star.StarRunResult` (single-end) or
+:class:`~repro.align.paired.PairedRunResult` (paired-end).  The merge is
+where the paper's early stopping (§III-B) lives: reads are tallied as
+they land, a ``Log.progress.out`` snapshot goes out every
+``progress_every`` reads, and the monitor hook may abort the run at any
+snapshot.  :func:`run_shards` owns all of that once, together with the
+shard schedule and shard checkpoints.  Two things vary per call:
+
+* the **codec** (:class:`SingleEndCodec` / :class:`PairedEndCodec`)
+  knows the library layout: how shard items pack into a payload, the
+  pure per-shard function, the status tally and GeneCounts rules, and
+  how the final statistics and the result are built;
+* the **executor** decides where shards run.  It maps an iterable of
+  payloads to ``(payload, value)`` pairs in payload order: inline (the
+  default, a lazy map in this process), the engine's worker pool
+  (``ParallelStarAligner._ordered_results``), or FaaS invocations
+  (``FaasAlignerBackend._execute_shard``).
+
+Every executor returns exactly what the pure per-shard function returns,
+so outcomes, progress cadence, gene counts and abort points are
+byte-identical whichever executor ran the shards.
+"""
+
+from __future__ import annotations
+
+import itertools
+import time
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
+from pathlib import Path
+
+from repro.align.counts import GeneCounts, GeneCountsPartial
+from repro.align.paired import (
+    PairedOutcome,
+    PairedRunResult,
+    PairedStarAligner,
+    PairStatus,
+)
+from repro.align.progress import FinalLogStats, ProgressRecord
+from repro.align.star import (
+    AlignmentStatus,
+    ProgressMonitorHook,
+    ReadAlignment,
+    StarAligner,
+    StarRunResult,
+)
+from repro.reads.fastq import FastqRecord
+
+__all__ = ["PairedEndCodec", "SingleEndCodec", "run_shards"]
+
+#: One shard's value: outcomes, its GeneCounts partial (None without
+#: quantification) and its seed-search counter delta.
+ShardValue = tuple[list, GeneCountsPartial | None, dict]
+
+#: Maps payloads to ``(payload, value)`` pairs, in payload order.
+Executor = Callable[[Iterable], Iterator[tuple[object, ShardValue]]]
+
+# --------------------------------------------------------------------------
+# shard schedule
+# --------------------------------------------------------------------------
+
+
+def _tail_floor(shard: int) -> int:
+    """Minimum size worth dispatching as its own final shard."""
+    return max(1, shard // 4)
+
+
+def _shard_bounds(total: int, shard: int) -> list[tuple[int, int]]:
+    """Slice bounds for ``total`` reads in ``shard``-sized pieces.
+
+    A degenerate tail (shorter than a quarter shard) is merged into the
+    previous shard instead of being dispatched on its own — streaming
+    produces arbitrary tail chunks, and a near-empty final dispatch
+    costs a full worker round-trip for a handful of reads.  Results are
+    unaffected: merging only moves a batch boundary, and outcomes are
+    batch-boundary invariant.  These bounds are the keys of shard
+    checkpoints; :func:`_iter_shards` yields the same schedule lazily.
+    """
+    bounds = [
+        (start, min(start + shard, total)) for start in range(0, total, shard)
+    ]
+    if len(bounds) >= 2 and bounds[-1][1] - bounds[-1][0] < _tail_floor(shard):
+        start, end = bounds.pop()
+        prev_start, _ = bounds.pop()
+        bounds.append((prev_start, end))
+    return bounds
+
+
+def _iter_shards(
+    records: Iterable, shard: int, *, hold_back: bool = True
+) -> Iterator[list]:
+    """Lazily shard any record iterable, merging a degenerate tail.
+
+    One full shard is held back so the final short tail (when smaller
+    than :func:`_tail_floor`) can be merged into it — the streaming
+    equivalent of :func:`_shard_bounds`, pulling no more than one shard
+    ahead of what has been dispatched.  ``hold_back=False`` yields plain
+    ``shard``-sized groups instead, pulling nothing ahead: the inline
+    executor aligns each group as soon as its reads arrive.
+    """
+    it = iter(records)
+    if not hold_back:
+        while group := list(itertools.islice(it, shard)):
+            yield group
+        return
+    held = list(itertools.islice(it, shard))
+    if not held:
+        return
+    while True:
+        nxt = list(itertools.islice(it, shard))
+        if not nxt:
+            yield held
+            return
+        if len(nxt) < _tail_floor(shard):
+            # short tail implies the iterable is exhausted
+            held.extend(nxt)
+            yield held
+            return
+        yield held
+        held = nxt
+
+
+# --------------------------------------------------------------------------
+# codecs: what differs by library layout
+# --------------------------------------------------------------------------
+
+
+class _Codec:
+    """What both layouts share.
+
+    :meth:`align` is the pure per-shard function: pool workers, the
+    engine's serial fallback, FaaS invocations and the inline executor
+    all run it, so a shard's value is the same wherever it ran.  An
+    instance used by :func:`run_shards` also carries that run's tally.
+    """
+
+    def __init__(self, aligner: StarAligner, quant: bool, progress_every: int):
+        self.aligner = aligner
+        #: the annotation to count against; None without quantification
+        self.annotation = aligner.index.annotation if quant else None
+        self.progress_every = progress_every
+        self.batch_align = aligner.parameters.batch_align
+
+    def align(self, payload) -> ShardValue:
+        stats = self.aligner.index.search_context.stats
+        before = stats.snapshot()
+        outcomes = self._outcomes(payload)
+        partial = None
+        if self.annotation is not None:
+            counts = GeneCounts(self.annotation)
+            for outcome in outcomes:
+                self.count(counts, outcome)
+            partial = counts.to_partial()
+        return outcomes, partial, stats.since(before)
+
+    def _final(self, outcomes, *, total, elapsed, aborted, **by_status):
+        unique, multi = self.mapped()
+        return FinalLogStats(
+            reads_total=total,
+            reads_processed=len(outcomes),
+            mapped_unique=unique,
+            mapped_multi=multi,
+            elapsed_seconds=elapsed,
+            aborted=aborted,
+            **by_status,
+        )
+
+
+class SingleEndCodec(_Codec):
+    """Single-end layout: shard items are :class:`FastqRecord` objects."""
+
+    def __init__(self, aligner: StarAligner) -> None:
+        params = aligner.parameters
+        super().__init__(aligner, params.quant_gene_counts, params.progress_every)
+        self.unique = self.multi = self.too_many = self.unmapped = 0
+        self.spliced = self.mismatch_bases = self.aligned_bases = 0
+
+    @staticmethod
+    def pack(records: list[FastqRecord]) -> list[FastqRecord]:
+        return records
+
+    def _outcomes(self, records: list[FastqRecord]) -> list[ReadAlignment]:
+        # the vectorized batch core, or the per-read oracle when
+        # StarParameters.batch_align is off
+        return self.aligner.align_batch(records)
+
+    @staticmethod
+    def count(counts: GeneCounts, outcome: ReadAlignment) -> None:
+        """GeneCounts rule: unique reads are assigned to genes."""
+        if outcome.status is AlignmentStatus.UNIQUE:
+            counts.record_unique(list(outcome.blocks), outcome.strand)
+        elif outcome.status in (
+            AlignmentStatus.MULTIMAPPED,
+            AlignmentStatus.TOO_MANY_LOCI,
+        ):
+            counts.record_multimapped()
+        else:
+            counts.record_unmapped()
+
+    def tally(self, record: FastqRecord, outcome: ReadAlignment) -> None:
+        status = outcome.status
+        if status is AlignmentStatus.UNIQUE:
+            self.unique += 1
+            self.spliced += outcome.spliced
+            self.mismatch_bases += outcome.mismatches
+            self.aligned_bases += record.length
+        elif status is AlignmentStatus.MULTIMAPPED:
+            self.multi += 1
+        elif status is AlignmentStatus.TOO_MANY_LOCI:
+            self.too_many += 1
+        else:
+            self.unmapped += 1
+
+    def mapped(self) -> tuple[int, int]:
+        """``(unique, multi)`` as the progress file reports them."""
+        return self.unique, self.multi
+
+    def result(self, outcomes, progress, counts, *, out_dir, **run) -> StarRunResult:
+        final = self._final(
+            outcomes,
+            too_many_loci=self.too_many,
+            unmapped=self.unmapped,
+            mismatch_rate=(
+                self.mismatch_bases / self.aligned_bases
+                if self.aligned_bases
+                else 0.0
+            ),
+            spliced_reads=self.spliced,
+            **run,
+        )
+        result = StarRunResult(outcomes, progress, final, counts, final.aborted)
+        if out_dir is not None:
+            result.write_outputs(out_dir)
+        return result
+
+
+class PairedEndCodec(_Codec):
+    """Paired layout: shard items are ``(mate1, mate2)`` record pairs.
+
+    Progress counts pairs.  Paired runs keep their results in memory, so
+    ``out_dir`` is ignored.
+    """
+
+    def __init__(self, paired: PairedStarAligner) -> None:
+        params = paired.parameters
+        super().__init__(
+            paired.aligner, params.quant_gene_counts, params.progress_every
+        )
+        self.paired = paired
+        self.proper = self.one_mate = self.discordant = 0
+        self.multi = self.unmapped = self.spliced = 0
+
+    @staticmethod
+    def pack(pairs: list[tuple[FastqRecord, FastqRecord]]):
+        return [p[0] for p in pairs], [p[1] for p in pairs]
+
+    def _outcomes(self, batch) -> list[PairedOutcome]:
+        # both mate lists go through the batch core whole, then pairing
+        # runs per pair
+        mates1 = self.aligner.align_batch(batch[0])
+        mates2 = self.aligner.align_batch(batch[1])
+        return [
+            self.paired._pair_outcome(r1, m1, m2)
+            for r1, m1, m2 in zip(batch[0], mates1, mates2)
+        ]
+
+    @staticmethod
+    def count(counts: GeneCounts, outcome: PairedOutcome) -> None:
+        """GeneCounts rule: each pair counts once, via its unique mates."""
+        if outcome.status is PairStatus.PROPER_PAIR:
+            blocks = list(outcome.mate1.blocks) + list(outcome.mate2.blocks)
+            counts.record_unique(blocks, outcome.mate1.strand)
+        elif outcome.status is PairStatus.ONE_MATE:
+            unique = (
+                outcome.mate1
+                if outcome.mate1.status is AlignmentStatus.UNIQUE
+                else outcome.mate2
+            )
+            counts.record_unique(list(unique.blocks), unique.strand)
+        elif outcome.status in (PairStatus.DISCORDANT, PairStatus.MULTIMAPPED):
+            counts.record_multimapped()
+        else:
+            counts.record_unmapped()
+
+    def tally(self, _pair, outcome: PairedOutcome) -> None:
+        status = outcome.status
+        if status is PairStatus.PROPER_PAIR:
+            self.proper += 1
+        elif status is PairStatus.ONE_MATE:
+            self.one_mate += 1
+        elif status is PairStatus.DISCORDANT:
+            self.discordant += 1
+        elif status is PairStatus.MULTIMAPPED:
+            self.multi += 1
+        else:
+            self.unmapped += 1
+        self.spliced += outcome.mate1.spliced or outcome.mate2.spliced
+
+    def mapped(self) -> tuple[int, int]:
+        return self.proper + self.one_mate + self.discordant, self.multi
+
+    def result(self, outcomes, progress, counts, *, out_dir, **run) -> PairedRunResult:
+        final = self._final(
+            outcomes,
+            too_many_loci=0,
+            unmapped=self.unmapped,
+            mismatch_rate=0.0,
+            spliced_reads=self.spliced,
+            **run,
+        )
+        return PairedRunResult(outcomes, progress, final, counts, final.aborted)
+
+
+# --------------------------------------------------------------------------
+# the runner
+# --------------------------------------------------------------------------
+
+
+def _inline(align: Callable[[object], ShardValue]) -> Executor:
+    """The in-process executor: a lazy map, one shard at a time."""
+    return lambda payloads: ((payload, align(payload)) for payload in payloads)
+
+
+def _in_order(shards: Iterator[list], pack, execute: Executor, checkpoint):
+    """Yield ``(span, items, value, replayed)`` for every shard, in order.
+
+    Shards the checkpoint already holds are served from it; only the
+    rest are packed and handed to ``execute``.  The executor pulls the
+    schedule itself, as far ahead as it likes, so ``pending`` queues what
+    it has pulled until the merge reaches it.
+    """
+    pending: deque = deque()
+
+    def live_payloads():
+        start = 0
+        for items in shards:
+            span = (start, start + len(items))
+            start = span[1]
+            hit = checkpoint.load(*span) if checkpoint is not None else None
+            pending.append((span, items, hit))
+            if hit is None:
+                yield pack(items)
+
+    live = execute(live_payloads())
+    try:
+        for _payload, value in live:
+            # cached shards ahead of this live one merge first
+            while pending[0][2] is not None:
+                span, items, hit = pending.popleft()
+                yield span, items, hit, True
+            span, items, _ = pending.popleft()
+            yield span, items, value, False
+        for span, items, hit in pending:  # trailing cached shards
+            yield span, items, hit, True
+    finally:
+        # close now, so the engine's end-of-run bookkeeping runs before
+        # the run returns rather than at garbage collection
+        live.close()
+
+
+def run_shards(
+    codec: SingleEndCodec | PairedEndCodec,
+    items: Iterable,
+    *,
+    total: int,
+    shard: int,
+    executor: Executor | None = None,
+    hold_back: bool = True,
+    monitor: ProgressMonitorHook | None = None,
+    clock: Callable[[], float] = time.monotonic,
+    checkpoint=None,
+    health=None,
+    out_dir: Path | str | None = None,
+):
+    """Align ``items`` shard by shard and merge them into one run result.
+
+    ``items`` (records, or mate pairs) may be lazy; ``total`` is the read
+    count progress records report.  Shards are ``shard`` items long (see
+    :func:`_iter_shards` for ``hold_back``) and run on ``executor``
+    (inline when None).
+
+    The monitor sees every progress snapshot in read order; returning
+    False aborts the run at that read — the rest of the shard is
+    discarded and nothing further is pulled.  Gene counts come from the
+    shard's partial when the shard was consumed whole, else from a
+    recount of the consumed prefix, so they always match the outcomes.
+
+    ``checkpoint`` (a :class:`repro.core.replication.ShardCheckpointer`)
+    serves shards the journal already holds instead of running them, and
+    records each live shard once it is merged whole and the run has not
+    aborted.  ``health`` (an engine's ``EngineHealth``) counts every
+    merged shard, replayed ones included.
+    """
+    started = clock()
+    outcomes: list = []
+    progress: list[ProgressRecord] = []
+    counts = GeneCounts(codec.annotation) if codec.annotation is not None else None
+    every = codec.progress_every
+    aborted = False
+
+    def report() -> bool:
+        """Log a progress snapshot; True when the monitor says stop."""
+        unique, multi = codec.mapped()
+        record = ProgressRecord(
+            elapsed_seconds=max(0.0, clock() - started),
+            reads_processed=len(outcomes),
+            reads_total=total,
+            mapped_unique=unique,
+            mapped_multi=multi,
+        )
+        progress.append(record)
+        return monitor is not None and not monitor(record)
+
+    merged = _in_order(
+        _iter_shards(items, shard, hold_back=hold_back),
+        codec.pack,
+        executor if executor is not None else _inline(codec.align),
+        checkpoint,
+    )
+    try:
+        for span, shard_items, value, replayed in merged:
+            shard_outcomes, partial, seed_stats = value
+            if health is not None:
+                health.seed_search.merge(seed_stats)
+                if codec.batch_align:
+                    health.batch_core_batches += 1
+            consumed = 0
+            for item, outcome in zip(shard_items, shard_outcomes):
+                outcomes.append(outcome)
+                codec.tally(item, outcome)
+                consumed += 1
+                if len(outcomes) % every == 0 and report():
+                    aborted = True
+                    break
+            whole = consumed == len(shard_outcomes)
+            if counts is not None:
+                if whole and partial is not None:
+                    counts.merge_partial(partial)
+                else:
+                    for outcome in shard_outcomes[:consumed]:
+                        codec.count(counts, outcome)
+            if checkpoint is not None and whole and not replayed and not aborted:
+                checkpoint.record(*span, shard_outcomes, partial, seed_stats)
+            if aborted:
+                break
+    finally:
+        merged.close()
+
+    # closing snapshot (STAR writes a last progress line at completion);
+    # an abort always happens right after a snapshot, so none is due then
+    if not progress or progress[-1].reads_processed != len(outcomes):
+        aborted = report()
+    return codec.result(
+        outcomes,
+        progress,
+        counts,
+        total=total,
+        elapsed=max(0.0, clock() - started),
+        aborted=aborted,
+        out_dir=out_dir,
+    )

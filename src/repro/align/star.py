@@ -11,7 +11,6 @@ the integration point for the paper's early-stopping optimization.
 from __future__ import annotations
 
 import enum
-import itertools
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
@@ -376,45 +375,6 @@ class StarAligner:
 
     # -- whole run -------------------------------------------------------------
 
-    def _outcome_stream(self, records: list[FastqRecord]):
-        """Yield one outcome per record, batching through the vector core.
-
-        Per-read progress/abort bookkeeping in :meth:`run` stays intact:
-        consumers pull one outcome at a time, so an abort mid-batch simply
-        discards the rest of that batch's (already bit-identical) results.
-        """
-        params = self.parameters
-        if not params.batch_align:
-            for record in records:
-                yield self.align_read(record)
-            return
-        size = params.align_batch_size
-        for start in range(0, len(records), size):
-            yield from self.align_batch(records[start : start + size])
-
-    def _record_outcome_pairs(self, records: Iterable[FastqRecord]):
-        """Yield ``(record, outcome)`` pairs from any record iterable.
-
-        The lazy counterpart of ``zip(records, _outcome_stream(records))``
-        — it pulls records as needed (at most one ``align_batch_size``
-        group ahead), so a streamed chunk feed aligns as bytes arrive.
-        Batch boundaries match :meth:`_outcome_stream` exactly, and the
-        batch core is boundary-invariant anyway, so results are
-        byte-identical to the list path.
-        """
-        params = self.parameters
-        if not params.batch_align:
-            for record in records:
-                yield record, self.align_read(record)
-            return
-        size = params.align_batch_size
-        it = iter(records)
-        while True:
-            batch = list(itertools.islice(it, size))
-            if not batch:
-                return
-            yield from zip(batch, self.align_batch(batch))
-
     def run(
         self,
         records: Iterable[FastqRecord],
@@ -423,6 +383,7 @@ class StarAligner:
         monitor: ProgressMonitorHook | None = None,
         out_dir: Path | str | None = None,
         clock: Callable[[], float] = time.monotonic,
+        checkpoint=None,
     ) -> StarRunResult:
         """Align a stream of reads, reporting progress and honouring a monitor.
 
@@ -433,96 +394,24 @@ class StarAligner:
         from terminated runs.
 
         When ``reads_total`` is given, ``records`` may be a lazy iterable
-        (e.g. a streamed chunk feed): reads are pulled as consumed
-        instead of materialized up front, with byte-identical results.
+        (e.g. a streamed chunk feed): reads are pulled as consumed, one
+        ``align_batch_size`` group at a time, instead of materialized up
+        front, with byte-identical results.  ``checkpoint`` turns on
+        shard checkpoints (see :func:`repro.align.runner.run_shards`).
         """
-        params = self.parameters
+        from repro.align.runner import SingleEndCodec, run_shards
+
         if reads_total is None:
             records = list(records)
-            total = len(records)
-        else:
-            total = reads_total
-        started = clock()
-
-        outcomes: list[ReadAlignment] = []
-        progress: list[ProgressRecord] = []
-        counts = (
-            GeneCounts(self.index.annotation)
-            if params.quant_gene_counts and self.index.annotation is not None
-            else None
+            reads_total = len(records)
+        return run_shards(
+            SingleEndCodec(self),
+            records,
+            total=reads_total,
+            shard=self.parameters.align_batch_size,
+            hold_back=False,
+            monitor=monitor,
+            clock=clock,
+            checkpoint=checkpoint,
+            out_dir=out_dir,
         )
-        unique = multi = too_many = unmapped = spliced_n = 0
-        mismatch_bases = 0
-        aligned_bases = 0
-        aborted = False
-
-        def snapshot() -> ProgressRecord:
-            return ProgressRecord(
-                elapsed_seconds=max(0.0, clock() - started),
-                reads_processed=len(outcomes),
-                reads_total=total,
-                mapped_unique=unique,
-                mapped_multi=multi,
-            )
-
-        for i, (record, outcome) in enumerate(
-            self._record_outcome_pairs(records)
-        ):
-            outcomes.append(outcome)
-            if outcome.status is AlignmentStatus.UNIQUE:
-                unique += 1
-                if outcome.spliced:
-                    spliced_n += 1
-                mismatch_bases += outcome.mismatches
-                aligned_bases += record.length
-                if counts is not None:
-                    counts.record_unique(list(outcome.blocks), outcome.strand)
-            elif outcome.status is AlignmentStatus.MULTIMAPPED:
-                multi += 1
-                if counts is not None:
-                    counts.record_multimapped()
-            elif outcome.status is AlignmentStatus.TOO_MANY_LOCI:
-                too_many += 1
-                if counts is not None:
-                    counts.record_multimapped()
-            else:
-                unmapped += 1
-                if counts is not None:
-                    counts.record_unmapped()
-
-            if (i + 1) % params.progress_every == 0:
-                rec = snapshot()
-                progress.append(rec)
-                if monitor is not None and not monitor(rec):
-                    aborted = True
-                    break
-
-        # closing snapshot (STAR writes a last progress line at completion)
-        final_snapshot = snapshot()
-        if not progress or progress[-1].reads_processed != len(outcomes):
-            progress.append(final_snapshot)
-            if not aborted and monitor is not None and not monitor(final_snapshot):
-                aborted = True
-
-        final = FinalLogStats(
-            reads_total=total,
-            reads_processed=len(outcomes),
-            mapped_unique=unique,
-            mapped_multi=multi,
-            too_many_loci=too_many,
-            unmapped=unmapped,
-            mismatch_rate=(mismatch_bases / aligned_bases) if aligned_bases else 0.0,
-            spliced_reads=spliced_n,
-            elapsed_seconds=max(0.0, clock() - started),
-            aborted=aborted,
-        )
-        result = StarRunResult(
-            outcomes=outcomes,
-            progress=progress,
-            final=final,
-            gene_counts=counts,
-            aborted=aborted,
-        )
-        if out_dir is not None:
-            result.write_outputs(out_dir)
-        return result

@@ -31,10 +31,11 @@ lifts durability one level up, onto the simulated S3 service
 * :class:`ShardCheckpointer` + the ``align.shard`` record — partial-
   batch recovery inside the align step.  Completed read shards are
   journaled with their serialized outcomes, keyed by accession + shard
-  bounds + config fingerprint; resume feeds only unfinished shards to
-  the engine pool and merges checkpointed outcomes byte-identically, so
-  rework after instance loss is bounded by one in-flight shard per
-  worker rather than a whole accession.
+  bounds + config fingerprint; on resume the shard runner
+  (:func:`repro.align.runner.run_shards`) executes only unfinished shards
+  and merges checkpointed outcomes byte-identically, so rework after
+  instance loss is bounded by the shards in flight rather than a whole
+  accession — on every backend.
 """
 
 from __future__ import annotations
@@ -547,7 +548,7 @@ def decode_shard_payload(
     payload: dict,
 ) -> tuple[list, GeneCountsPartial | None, dict]:
     """Inverse of :func:`encode_shard_payload`: yields the exact tuple the
-    engine's worker entry point would have returned."""
+    pure per-shard function would have returned."""
     stats = dict(payload["ss"])
     stats["fallback_depths"] = {
         int(d): c for d, c in stats["fallback_depths"].items()
@@ -569,7 +570,8 @@ def decode_shard_payload(
 
 
 class ShardCheckpointer:
-    """The engine's window onto journal shard checkpoints for one accession.
+    """The shard runner's window onto journal shard checkpoints for one
+    accession.
 
     ``cached`` holds the ``align.shard`` records a resume replayed
     (``JournalReplay.align_shards[accession]``); :meth:`load` serves a

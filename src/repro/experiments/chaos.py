@@ -590,7 +590,7 @@ class KillInstanceSpec:
     n_accessions: int = 2
     n_reads: int = 600
     read_length: int = 60
-    #: engine worker processes (shard checkpointing needs the engine)
+    #: engine worker processes (the scenario SIGKILLs the whole pool too)
     workers: int = 2
     #: reads per engine shard (controls checkpoint granularity)
     align_batch_size: int = 64

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.genome.alphabet import random_sequence, reverse_complement
 from repro.reads.fastq import FastqRecord, write_fastq
-from repro.reads.library import LibraryType, SampleProfile
+from repro.reads.library import LibraryType, SampleProfile, SraRunMetadata
 from repro.reads.simulator import ReadSimulator
 from repro.util.rng import derive_rng, ensure_rng
 
@@ -194,12 +194,28 @@ class PairedSraArchive:
     def n_pairs(self) -> int:
         return len(self.mate1)
 
-    def _payload(self) -> bytes:
+    def _fastq_bytes(self) -> bytes:
         buf = io.StringIO()
         for r1, r2 in zip(self.mate1, self.mate2):
             for rec in (r1, r2):
                 buf.write(f"@{rec.read_id}\n{rec.sequence_str}\n+\n{rec.quality_str}\n")
-        return zlib.compress(buf.getvalue().encode("ascii"), level=6)
+        return buf.getvalue().encode("ascii")
+
+    def _payload(self) -> bytes:
+        return zlib.compress(self._fastq_bytes(), level=6)
+
+    def metadata(self, *, tissue: str = "unknown") -> SraRunMetadata:
+        """Catalog entry, as :meth:`SraArchive.metadata`; reads count
+        pairs (the header's ``n_pairs``) at mate 1's length."""
+        return SraRunMetadata(
+            accession=self.accession,
+            library=self.library,
+            n_reads=self.n_pairs,
+            read_length=self.mate1[0].length if self.mate1 else 0,
+            sra_bytes=len(self.to_bytes()),
+            fastq_bytes=len(self._fastq_bytes()),
+            tissue=tissue,
+        )
 
     def to_bytes(self) -> bytes:
         header = json.dumps(

@@ -28,6 +28,7 @@ from repro.reads.library import LibraryType, SraRunMetadata
 
 if TYPE_CHECKING:
     from repro.core.resilience import FaultPlan
+    from repro.reads.paired import PairedSraArchive
 
 _MAGIC = b"SRAR"
 _VERSION = 1
@@ -132,8 +133,8 @@ class SraRepository:
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
 
-    def deposit(self, archive: SraArchive) -> SraRunMetadata:
-        """Store an archive; returns its catalog metadata."""
+    def deposit(self, archive: SraArchive | PairedSraArchive) -> SraRunMetadata:
+        """Store a single-end or paired archive; returns its catalog metadata."""
         blob = archive.to_bytes()
         if self.root is not None:
             (self.root / f"{archive.accession}.sra").write_bytes(blob)

@@ -5,9 +5,11 @@ scatter of simulated function invocations — must never leak into the
 science.  This suite is the reusable proof: a parametrized factory
 builds each backend, and every property (per-read outcomes, gene-count
 vectors, final-log statistics, early-stop abort points, chaos-retried
-runs, journal-resume interchange) is asserted byte-identical against
-the serial reference.
+runs, shard checkpoints cut by an early stop, journal-resume
+interchange) is asserted byte-identical against the serial reference.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from repro.align.backend import (
 )
 from repro.align.engine import ParallelStarAligner
 from repro.align.paired import PairedStarAligner
+from repro.align.star import StarAligner
 from repro.cloud.faas import FaasLimits, FaasService
 from repro.core.early_stopping import EarlyStopMonitor, EarlyStoppingPolicy
 from repro.genome.alphabet import encode
@@ -139,6 +142,41 @@ class TestEquivalence:
         )
         assert want.aborted
         assert_equivalent(got, want)
+
+    def test_early_stop_mid_shard_checkpoints_whole_shards_only(
+        self, backend_name, build_backend, aligner_r111, bulk_sample, tmp_path
+    ):
+        from repro.core.journal import RunJournal
+        from repro.core.replication import ShardCheckpointer
+
+        def stop_at_100(record):
+            # 100 falls inside the second 64-read shard
+            return record.reads_processed < 100
+
+        if backend_name == "serial":
+            parameters = replace(aligner_r111.parameters, align_batch_size=64)
+            backend = SerialAlignerBackend(
+                StarAligner(aligner_r111.index, parameters)
+            )
+        else:
+            backend = build_backend(backend_name)
+        reads = ReadBatch(bulk_sample.records)
+        path = tmp_path / "run.journal"
+        with RunJournal(path) as journal:
+            first = ShardCheckpointer(journal, "SRR1", "fp")
+            stopped = backend.align(reads, monitor=stop_at_100, checkpoint=first)
+        assert stopped.final.reads_processed == 100
+        cached = RunJournal(path).replay().align_shards["SRR1"]
+        # only the fully consumed shard is durable, not the one cut short
+        assert sorted(cached) == [(0, 64)]
+
+        with RunJournal(path) as journal:
+            resumed_ckpt = ShardCheckpointer(journal, "SRR1", "fp", cached=cached)
+            resumed = backend.align(reads, checkpoint=resumed_ckpt)
+        assert resumed_ckpt.hits == 1
+        serial = build_backend("serial")
+        assert_equivalent(stopped, serial.align(reads, monitor=stop_at_100))
+        assert_equivalent(resumed, serial.align(reads))
 
 
 class TestFaasChaosEquivalence:

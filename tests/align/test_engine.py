@@ -412,12 +412,12 @@ class TestShardSizing:
     worker round-trip on its own."""
 
     def test_even_split_untouched(self):
-        from repro.align.engine import _shard_bounds
+        from repro.align.runner import _shard_bounds
 
         assert _shard_bounds(128, 64) == [(0, 64), (64, 128)]
 
     def test_short_tail_merged_into_previous_shard(self):
-        from repro.align.engine import _shard_bounds, _tail_floor
+        from repro.align.runner import _shard_bounds, _tail_floor
 
         # 130 = 64 + 64 + 2; the 2-read tail is below the quarter-shard
         # floor (16) so it rides with the previous shard
@@ -425,18 +425,18 @@ class TestShardSizing:
         assert _shard_bounds(130, 64) == [(0, 64), (64, 130)]
 
     def test_tail_at_floor_stays_separate(self):
-        from repro.align.engine import _shard_bounds
+        from repro.align.runner import _shard_bounds
 
         assert _shard_bounds(144, 64) == [(0, 64), (64, 128), (128, 144)]
 
     def test_single_short_batch_not_merged_away(self):
-        from repro.align.engine import _shard_bounds
+        from repro.align.runner import _shard_bounds
 
         assert _shard_bounds(3, 64) == [(0, 3)]
         assert _shard_bounds(0, 64) == []
 
     def test_iter_shards_matches_bounds(self):
-        from repro.align.engine import _iter_shards, _shard_bounds
+        from repro.align.runner import _iter_shards, _shard_bounds
 
         for total, shard in [(0, 8), (3, 8), (16, 8), (17, 8), (18, 8), (130, 64)]:
             records = list(range(total))
@@ -445,7 +445,7 @@ class TestShardSizing:
             assert lazy == eager, (total, shard)
 
     def test_streamed_iterator_is_not_over_buffered(self):
-        from repro.align.engine import _iter_shards
+        from repro.align.runner import _iter_shards
 
         pulled = []
 

@@ -1,4 +1,4 @@
-"""BatchOptions consolidation: validation, deprecation shims, overrides."""
+"""BatchOptions consolidation: validation, warning-free calls, overrides."""
 
 import time
 
@@ -39,10 +39,6 @@ def make_pipeline(repository, aligner, workspace):
             write_outputs=False,
         ),
     )
-
-
-def comparable(result):
-    return (result.accession, result.status, result.counts)
 
 
 class TestValidation:
@@ -93,42 +89,6 @@ class TestValidation:
 
 
 class TestDeprecatedKwargs:
-    def test_legacy_kwargs_warn_and_still_work(
-        self, repository, aligner_r111, tmp_path
-    ):
-        pipeline = make_pipeline(repository, aligner_r111, tmp_path / "a")
-        with pytest.deprecated_call():
-            legacy = pipeline.run_batch(ACCESSIONS, max_parallel=2)
-        modern_pipeline = make_pipeline(
-            repository, aligner_r111, tmp_path / "b"
-        )
-        modern = modern_pipeline.run_batch(
-            ACCESSIONS, BatchOptions(max_parallel=2)
-        )
-        assert [comparable(r) for r in legacy] == [
-            comparable(r) for r in modern
-        ]
-
-    def test_legacy_journal_kwarg_round_trips(
-        self, repository, aligner_r111, tmp_path
-    ):
-        journal_path = tmp_path / "run.jsonl"
-        first = make_pipeline(repository, aligner_r111, tmp_path / "a")
-        with pytest.deprecated_call():
-            first.run_batch(ACCESSIONS, journal=journal_path)
-        second = make_pipeline(repository, aligner_r111, tmp_path / "b")
-        resumed = second.run_batch(
-            ACCESSIONS, BatchOptions(journal=journal_path, resume=True)
-        )
-        assert all(r.resumed for r in resumed)
-
-    def test_options_plus_legacy_is_an_error(
-        self, repository, aligner_r111, tmp_path
-    ):
-        pipeline = make_pipeline(repository, aligner_r111, tmp_path)
-        with pytest.raises(ValueError, match="not both"):
-            pipeline.run_batch(ACCESSIONS, BatchOptions(), max_parallel=2)
-
     def test_options_alone_does_not_warn(
         self, repository, aligner_r111, tmp_path, recwarn
     ):

@@ -9,9 +9,13 @@ matching shard from the checkpoint, and the fingerprint guard still
 forces a re-run when the config changed.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.align.engine import ParallelStarAligner
+from repro.align.paired import PairedStarAligner
+from repro.align.star import StarAligner
 from repro.core.journal import RunJournal
 from repro.core.replication import (
     ShardCheckpointer,
@@ -54,8 +58,14 @@ def reference(engine, paired_sample):
     return engine.run_paired(paired_sample.mate1, paired_sample.mate2)
 
 
-def run_with_checkpoint(engine, paired_sample, checkpointer):
-    return engine.run_paired(
+@pytest.fixture
+def runner(engine):
+    """The paired run TestPairedResume checkpoints through."""
+    return engine.run_paired
+
+
+def run_with_checkpoint(runner, paired_sample, checkpointer):
+    return runner(
         paired_sample.mate1, paired_sample.mate2, checkpoint=checkpointer
     )
 
@@ -91,11 +101,11 @@ class TestPairedPayloadCodec:
 
 class TestPairedResume:
     def test_fresh_run_checkpoints_every_shard(
-        self, engine, paired_sample, reference, tmp_path
+        self, runner, paired_sample, reference, tmp_path
     ):
         journal = RunJournal(tmp_path / "run.journal")
         ckpt = ShardCheckpointer(journal, "SRR1", FINGERPRINT)
-        got = run_with_checkpoint(engine, paired_sample, ckpt)
+        got = run_with_checkpoint(runner, paired_sample, ckpt)
         journal.close()
         n_shards = -(-len(paired_sample.mate1) // 40)
         assert ckpt.recorded == n_shards
@@ -103,12 +113,12 @@ class TestPairedResume:
         assert_matches_reference(got, reference)
 
     def test_resumed_run_serves_all_shards_from_journal(
-        self, engine, paired_sample, reference, tmp_path
+        self, runner, paired_sample, reference, tmp_path
     ):
         path = tmp_path / "run.journal"
         with RunJournal(path) as journal:
             first = ShardCheckpointer(journal, "SRR1", FINGERPRINT)
-            run_with_checkpoint(engine, paired_sample, first)
+            run_with_checkpoint(runner, paired_sample, first)
 
         replay = RunJournal(path).replay()
         cached = replay.align_shards["SRR1"]
@@ -118,20 +128,20 @@ class TestPairedResume:
             resumed = ShardCheckpointer(
                 journal, "SRR1", FINGERPRINT, cached=cached
             )
-            got = run_with_checkpoint(engine, paired_sample, resumed)
+            got = run_with_checkpoint(runner, paired_sample, resumed)
         assert resumed.hits == first.recorded
         assert resumed.recorded == 0
         assert_matches_reference(got, reference)
 
     def test_partial_checkpoints_fill_in_the_gap(
-        self, engine, paired_sample, reference, tmp_path
+        self, runner, paired_sample, reference, tmp_path
     ):
         """An interrupted run left some shards; the resume re-aligns
         only the missing one and the merge is still byte-identical."""
         path = tmp_path / "run.journal"
         with RunJournal(path) as journal:
             first = ShardCheckpointer(journal, "SRR1", FINGERPRINT)
-            run_with_checkpoint(engine, paired_sample, first)
+            run_with_checkpoint(runner, paired_sample, first)
 
         cached = dict(RunJournal(path).replay().align_shards["SRR1"])
         dropped = max(cached)  # the shard the crash cut off
@@ -141,28 +151,40 @@ class TestPairedResume:
             resumed = ShardCheckpointer(
                 journal, "SRR1", FINGERPRINT, cached=cached
             )
-            got = run_with_checkpoint(engine, paired_sample, resumed)
+            got = run_with_checkpoint(runner, paired_sample, resumed)
         assert resumed.hits == first.recorded - 1
         assert resumed.recorded == 1
         assert_matches_reference(got, reference)
 
     def test_fingerprint_mismatch_forces_full_rerun(
-        self, engine, paired_sample, reference, tmp_path
+        self, runner, paired_sample, reference, tmp_path
     ):
         path = tmp_path / "run.journal"
         with RunJournal(path) as journal:
             first = ShardCheckpointer(journal, "SRR1", FINGERPRINT)
-            run_with_checkpoint(engine, paired_sample, first)
+            run_with_checkpoint(runner, paired_sample, first)
 
         cached = RunJournal(path).replay().align_shards["SRR1"]
         with RunJournal(tmp_path / "second.journal") as journal:
             resumed = ShardCheckpointer(
                 journal, "SRR1", "fp-other-config", cached=cached
             )
-            got = run_with_checkpoint(engine, paired_sample, resumed)
+            got = run_with_checkpoint(runner, paired_sample, resumed)
         # every shard misses (no stale serve) and none is re-journaled —
         # those bounds are already durable and replay keeps the first
         # record per bounds, so re-recording would be invisible bloat
         assert resumed.hits == 0
         assert resumed.recorded == 0
         assert_matches_reference(got, reference)
+
+
+class TestSerialPairedResume(TestPairedResume):
+    """The same resume contract on the serial paired aligner: 40-pair
+    ``align_batch_size`` shards through the inline executor, checked
+    against the engine's uncheckpointed reference."""
+
+    @pytest.fixture
+    def runner(self, aligner_r111):
+        parameters = replace(aligner_r111.parameters, align_batch_size=40)
+        serial = StarAligner(aligner_r111.index, parameters)
+        return PairedStarAligner(serial).run

@@ -9,6 +9,7 @@ import pytest
 from repro.core.early_stopping import EarlyStoppingPolicy
 from repro.core.journal import RunJournal
 from repro.core.pipeline import (
+    BatchOptions,
     PipelineConfig,
     RunStatus,
     TranscriptomicsAtlasPipeline,
@@ -60,7 +61,7 @@ class TestJournaledBatch:
     def test_records_every_transition(self, repository, aligner_r111, tmp_path):
         pipeline = make_pipeline(repository, aligner_r111, tmp_path / "w")
         journal_path = tmp_path / "run.jsonl"
-        pipeline.run_batch(ACCESSIONS[:2], journal=journal_path)
+        pipeline.run_batch(ACCESSIONS[:2], BatchOptions(journal=journal_path))
         replay = RunJournal(journal_path).replay()
         assert set(replay.terminal) == set(ACCESSIONS[:2])
         assert replay.in_flight == []
@@ -72,11 +73,13 @@ class TestJournaledBatch:
     ):
         journal_path = tmp_path / "run.jsonl"
         first = make_pipeline(repository, aligner_r111, tmp_path / "a")
-        originals = first.run_batch(ACCESSIONS, journal=journal_path)
+        originals = first.run_batch(
+            ACCESSIONS, BatchOptions(journal=journal_path)
+        )
 
         second = make_pipeline(repository, aligner_r111, tmp_path / "b")
         resumed = second.run_batch(
-            ACCESSIONS, journal=journal_path, resume=True
+            ACCESSIONS, BatchOptions(journal=journal_path, resume=True)
         )
         assert [r.accession for r in resumed] == ACCESSIONS
         assert all(r.resumed for r in resumed)
@@ -94,11 +97,11 @@ class TestJournaledBatch:
     ):
         journal_path = tmp_path / "run.jsonl"
         first = make_pipeline(repository, aligner_r111, tmp_path / "a")
-        first.run_batch(ACCESSIONS[:2], journal=journal_path)
+        first.run_batch(ACCESSIONS[:2], BatchOptions(journal=journal_path))
 
         second = make_pipeline(repository, aligner_r111, tmp_path / "b")
         results = second.run_batch(
-            ACCESSIONS, journal=journal_path, resume=True
+            ACCESSIONS, BatchOptions(journal=journal_path, resume=True)
         )
         by_acc = {r.accession: r for r in results}
         assert [r.accession for r in results] == ACCESSIONS
@@ -110,23 +113,22 @@ class TestJournaledBatch:
             comparable(r) for r in reference.run_batch(ACCESSIONS)
         ]
 
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "engine"])
     def test_shard_checkpoints_resume_without_realigning(
-        self, repository, aligner_r111, tmp_path
+        self, repository, aligner_r111, tmp_path, workers
     ):
         """Drop an accession's terminal record but keep its ``align.shard``
         checkpoints: resume must rebuild the result from the journal's
         shards (checkpoint hits, zero re-alignments) and match a plain
-        reference byte-identically."""
+        reference byte-identically — on the serial backend and the engine."""
         import json
 
         journal_path = tmp_path / "run.jsonl"
         victim = ACCESSIONS[1]
         first = make_pipeline(
-            repository, aligner_r111, tmp_path / "a", workers=2,
+            repository, aligner_r111, tmp_path / "a", workers=workers,
             align_batch_size=32,
         )
-        from repro.core.pipeline import BatchOptions
-
         originals = first.run_batch(
             ACCESSIONS[:2],
             BatchOptions(journal=journal_path, shard_checkpoints=True),
@@ -147,7 +149,7 @@ class TestJournaledBatch:
         journal_path.write_text("".join(kept))
 
         second = make_pipeline(
-            repository, aligner_r111, tmp_path / "b", workers=2,
+            repository, aligner_r111, tmp_path / "b", workers=workers,
             align_batch_size=32,
         )
         resumed = second.run_batch(
@@ -172,10 +174,11 @@ class TestJournaledBatch:
         journaled serially resumes under max_parallel > 1."""
         journal_path = tmp_path / "run.jsonl"
         first = make_pipeline(repository, aligner_r111, tmp_path / "a")
-        first.run_batch(ACCESSIONS[:1], journal=journal_path)
+        first.run_batch(ACCESSIONS[:1], BatchOptions(journal=journal_path))
         second = make_pipeline(repository, aligner_r111, tmp_path / "b")
         results = second.run_batch(
-            ACCESSIONS, max_parallel=3, journal=journal_path, resume=True
+            ACCESSIONS,
+            BatchOptions(max_parallel=3, journal=journal_path, resume=True),
         )
         assert [r.accession for r in results] == ACCESSIONS
         assert results[0].resumed and not results[1].resumed
@@ -216,7 +219,7 @@ class TestGracefulDrain:
 
         thread = threading.Thread(target=drainer)
         thread.start()
-        results = pipeline.run_batch(ACCESSIONS, journal=journal)
+        results = pipeline.run_batch(ACCESSIONS, BatchOptions(journal=journal))
         thread.join()
 
         assert 1 <= len(results) < len(ACCESSIONS)
@@ -228,7 +231,7 @@ class TestGracefulDrain:
 
         second = make_pipeline(repository, aligner_r111, tmp_path / "b")
         resumed = second.run_batch(
-            ACCESSIONS, journal=journal_path, resume=True
+            ACCESSIONS, BatchOptions(journal=journal_path, resume=True)
         )
         reference = make_pipeline(repository, aligner_r111, tmp_path / "ref")
         assert [comparable(r) for r in resumed] == [

@@ -6,6 +6,7 @@ import pytest
 from repro.genome.alphabet import encode
 from repro.reads.fastq import FastqRecord, read_fastq
 from repro.reads.library import LibraryType
+from repro.reads.paired import PairedSraArchive
 from repro.reads.sra import (
     SraArchive,
     SraRepository,
@@ -89,6 +90,23 @@ class TestRepository:
         assert (tmp_path / "ncbi" / "SRR123.sra").exists()
         repo2 = SraRepository(tmp_path / "ncbi")  # fresh handle, same dir
         assert repo2.accessions() == ["SRR123"]
+
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+    def test_paired_deposit_round_trips(self, tmp_path, on_disk):
+        mate1 = make_records(4, 20)
+        mate2 = [FastqRecord(f"{r.read_id}/2", r.sequence, r.qualities) for r in mate1]
+        paired = PairedSraArchive("SRR456", LibraryType.BULK_POLYA, mate1, mate2)
+        repo = SraRepository(tmp_path / "ncbi" if on_disk else None)
+        meta = repo.deposit(paired)
+        blob = repo.fetch_bytes("SRR456")
+        assert blob == paired.to_bytes()
+        back = PairedSraArchive.from_bytes(blob)
+        assert [r.read_id for r in back.mate2] == [r.read_id for r in mate2]
+        assert meta.accession == "SRR456"
+        assert meta.n_reads == paired.n_pairs == 4
+        assert meta.read_length == 20
+        assert meta.sra_bytes == len(blob)
+        assert meta.fastq_bytes > 0
 
     def test_missing_accession(self):
         repo = SraRepository()
