@@ -29,7 +29,7 @@ applies).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Protocol, runtime_checkable
 
@@ -40,6 +40,7 @@ from repro.align.runner import (
     SingleEndCodec,
     run_shards,
 )
+from repro.align.star import StarAligner
 from repro.cloud.faas import (
     ExecutionCapExceeded,
     FaasService,
@@ -51,7 +52,7 @@ from repro.cloud.faas import (
 if TYPE_CHECKING:
     from repro.align.engine import ParallelStarAligner
     from repro.align.outcome import AlignmentOutcome
-    from repro.align.star import ProgressMonitorHook, StarAligner
+    from repro.align.star import ProgressMonitorHook
     from repro.reads.fastq import FastqRecord
 
 __all__ = [
@@ -594,6 +595,7 @@ def resolve_backend(
     paired: bool = False,
     requested: str | None = None,
     faas: FaasAlignerBackend | None = None,
+    batch_size: int | None = None,
 ) -> AlignerBackend:
     """Pick the backend for one accession.
 
@@ -609,7 +611,8 @@ def resolve_backend(
     (warm containers then do not persist across accessions).  Under
     ``"auto"`` (the default) a live ``engine`` wins (it serves both
     layouts from one worker pool); otherwise the library layout picks
-    the serial backend.
+    the serial backend, sharding at ``batch_size`` reads when given
+    (None keeps ``StarParameters.align_batch_size``).
     """
     if requested is None:
         requested = getattr(config, "backend", None)
@@ -625,6 +628,7 @@ def resolve_backend(
         return FaasAlignerBackend(
             aligner,
             paired_parameters=getattr(config, "paired_parameters", None),
+            batch_size=batch_size,
         )
     if requested == "engine":
         if engine is None:
@@ -634,6 +638,11 @@ def resolve_backend(
         return EngineBackend(engine)
     if requested == "auto" and engine is not None:
         return EngineBackend(engine)
+    if batch_size is not None:
+        aligner = StarAligner(
+            aligner.index,
+            replace(aligner.parameters, align_batch_size=batch_size),
+        )
     if paired:
         parameters = getattr(config, "paired_parameters", None)
         return PairedAlignerBackend(PairedStarAligner(aligner, parameters))

@@ -17,8 +17,7 @@ Usage::
                           [--replicate] [--architecture asg|faas|hybrid|all]
     python -m repro faas-crossover [--jobs N] [--seed N]
     python -m repro chaos [--accessions N] [--workers N] [--fault-plan SPEC]
-                          [--resume] [--journal PATH] [--kill-instance]
-                          [--faas]
+                          [--crash local|stream|s3|faas]
     python -m repro pipeline [--accessions N] [--journal PATH] [--resume]
                              [--journal-s3 DIR] [--shard-checkpoints]
                              [--adopt]
@@ -289,66 +288,13 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.core.journal import JournalIncompatible
     from repro.core.resilience import RetryPolicy
-    from repro.experiments.chaos import (
-        ChaosSpec,
-        FaasChaosSpec,
-        KillInstanceSpec,
-        ResumeChaosSpec,
-        run_chaos,
-        run_faas_chaos,
-        run_kill_instance_chaos,
-        run_resume_chaos,
-    )
+    from repro.experiments.chaos import ChaosSpec, CrashSpec, run_chaos, run_crash
 
-    if args.stream and not args.resume:
-        print("error: --stream requires --resume", file=sys.stderr)
-        return 2
-    if args.kill_instance and (args.resume or args.stream):
-        print(
-            "error: --kill-instance is its own scenario; drop "
-            "--resume/--stream",
-            file=sys.stderr,
-        )
-        return 2
-    if args.faas and (args.resume or args.stream or args.kill_instance):
-        print(
-            "error: --faas is its own scenario; drop "
-            "--resume/--stream/--kill-instance",
-            file=sys.stderr,
-        )
-        return 2
-    if args.faas:
-        result = run_faas_chaos(FaasChaosSpec(seed=args.seed))
+    if args.crash is not None:
+        result = run_crash(CrashSpec(mode=args.crash, seed=args.seed))
         print(result.to_table())
         return 0 if result.passed else 1
-    if args.kill_instance:
-        result = run_kill_instance_chaos(
-            KillInstanceSpec(seed=args.seed)
-        )
-        print(result.to_table())
-        return 0 if result.passed else 1
-    if args.resume:
-        try:
-            result = run_resume_chaos(
-                ResumeChaosSpec(
-                    n_accessions=args.accessions,
-                    seed=args.seed,
-                    journal_path=(
-                        Path(args.journal) if args.journal is not None else None
-                    ),
-                    streaming=args.stream,
-                )
-            )
-        except JournalIncompatible as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(result.to_table())
-        return 0 if result.passed else 1
-
     result = run_chaos(
         ChaosSpec(
             n_accessions=args.accessions,
@@ -767,35 +713,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the default scripted fault plan",
     )
     p.add_argument(
-        "--resume",
-        action="store_true",
-        help="run the kill-mid-batch → journal-resume scenario instead",
-    )
-    p.add_argument(
-        "--journal",
-        type=str,
+        "--crash",
+        choices=["local", "stream", "s3", "faas"],
         default=None,
-        help="journal path for --resume (default: a temp file)",
-    )
-    p.add_argument(
-        "--stream",
-        action="store_true",
-        help="with --resume: victim and resumed batch use the streaming "
-        "DAG (kill-mid-stream scenario)",
-    )
-    p.add_argument(
-        "--kill-instance",
-        action="store_true",
-        help="SIGKILL a whole worker instance mid-batch; a second "
-        "instance adopts via the S3-replicated journal + lease and the "
-        "merged results must match an uninterrupted reference",
-    )
-    p.add_argument(
-        "--faas",
-        action="store_true",
-        help="kill the serverless driver mid-scatter and crash live "
-        "function invocations on the adopting run; adopted shards must "
-        "merge byte-identically to an uninterrupted reference",
+        help="run the crash-and-recover scenario instead: SIGKILL a "
+        "journaled batch after one exact journal append, then recover by "
+        "resume (local), streamed resume (stream), S3 adoption under a "
+        "fenced lease (s3) or FaaS scatter adoption (faas); outcomes and "
+        "count matrix must match an uninterrupted run",
     )
     p.set_defaults(fn=_cmd_chaos)
 

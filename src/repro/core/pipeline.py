@@ -168,9 +168,11 @@ class PipelineConfig:
     #: (the index is published to shared memory once per pipeline and
     #: reused across accessions, as the paper's instances do)
     workers: int = 1
-    #: reads per batch dispatched to an alignment worker; None lets the
-    #: engine size shards from its batch-core cost model (see
-    #: :class:`~repro.align.engine.ParallelStarAligner`)
+    #: reads per alignment shard on every backend (one engine task or
+    #: function invocation, and one shard checkpoint); None keeps each
+    #: backend's default: ``StarParameters.align_batch_size`` for the
+    #: serial and paired backends, the batch-core cost model for the
+    #: engine and FaaS (see :class:`~repro.align.engine.ParallelStarAligner`)
     align_batch_size: int | None = None
     #: seconds of no-progress after a worker loss before the engine
     #: declares its pool wedged and degrades to serial (then rebuilds it)
@@ -230,8 +232,8 @@ class BatchOptions:
     #: per-batch override of ``PipelineConfig.drain_deadline`` (None
     #: keeps the config value)
     drain_deadline: float | None = None
-    #: per-batch override of ``PipelineConfig.align_batch_size``; only
-    #: effective before the engine is first created
+    #: per-batch override of ``PipelineConfig.align_batch_size``; the
+    #: engine and FaaS backends take it only when first created
     align_batch_size: int | None = None
     #: journal completed read shards inside the align step so resume
     #: re-aligns only unfinished shards (requires ``journal``; every
@@ -350,11 +352,14 @@ class TranscriptomicsAtlasPipeline:
         self._shard_ckpt_state: tuple | None = None
         #: checkpointers created this batch (for rework accounting)
         self._shard_ckpts: list = []
-        #: chaos hook: called as (accession, start, end) after each shard
-        #: checkpoint lands in the journal
-        self._shard_record_hook: Callable[[str, int, int], None] | None = None
 
     # -- parallel engine lifecycle -------------------------------------------
+
+    def _align_batch_size(self) -> int | None:
+        """Reads per alignment shard: the batch's override, else the config."""
+        if self._align_batch_override is not None:
+            return self._align_batch_override
+        return self.config.align_batch_size
 
     def _get_engine(self) -> ParallelStarAligner | None:
         """The shared alignment engine (None when ``config.workers == 1``).
@@ -367,16 +372,11 @@ class TranscriptomicsAtlasPipeline:
             return None
         with self._engine_lock:
             if self._engine is None:
-                batch_size = (
-                    self._align_batch_override
-                    if self._align_batch_override is not None
-                    else self.config.align_batch_size
-                )
                 self._engine = ParallelStarAligner(
                     self.aligner.index,
                     self.aligner.parameters,
                     workers=self.config.workers,
-                    batch_size=batch_size,
+                    batch_size=self._align_batch_size(),
                     stall_timeout=self.config.engine_stall_timeout,
                 ).start()
             return self._engine
@@ -393,14 +393,9 @@ class TranscriptomicsAtlasPipeline:
             if self._faas_backend is None:
                 from repro.align.backend import FaasAlignerBackend
 
-                batch_size = (
-                    self._align_batch_override
-                    if self._align_batch_override is not None
-                    else self.config.align_batch_size
-                )
                 self._faas_backend = FaasAlignerBackend(
                     self.aligner,
-                    batch_size=batch_size,
+                    batch_size=self._align_batch_size(),
                 )
             return self._faas_backend
 
@@ -834,9 +829,6 @@ class TranscriptomicsAtlasPipeline:
             fingerprint,
             shards.setdefault(accession, {}),
         )
-        hook = self._shard_record_hook
-        if hook is not None:
-            ckpt.on_record = lambda s, e, acc=accession: hook(acc, s, e)
         self._shard_ckpts.append(ckpt)
         return ckpt
 

@@ -244,6 +244,7 @@ class AlignStage:
             faas=(
                 pipeline._get_faas_backend() if requested == "faas" else None
             ),
+            batch_size=pipeline._align_batch_size(),
         )
         ctx.out_dir = (
             (ctx.work / "star")

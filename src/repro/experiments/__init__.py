@@ -7,7 +7,14 @@ rendering of the same rows/series the paper reports; the benches in
 
 from repro.experiments.ablation import AblationResult, run_ablation
 from repro.experiments.architecture import ArchitectureResult, run_architecture_sweep
-from repro.experiments.chaos import ChaosResult, ChaosSpec, run_chaos
+from repro.experiments.chaos import (
+    ChaosResult,
+    ChaosSpec,
+    CrashResult,
+    CrashSpec,
+    run_chaos,
+    run_crash,
+)
 from repro.experiments.config_table import ConfigTableResult, run_config_table
 from repro.experiments.corpus import CorpusSpec, generate_corpus
 from repro.experiments.diagrams import architecture_diagram, pipeline_diagram
@@ -36,6 +43,8 @@ __all__ = [
     "ChaosSpec",
     "ConfigTableResult",
     "CorpusSpec",
+    "CrashResult",
+    "CrashSpec",
     "Fig3Result",
     "Fig4Result",
     "FullAtlasResult",
@@ -54,6 +63,7 @@ __all__ = [
     "run_architecture_sweep",
     "run_chaos",
     "run_config_table",
+    "run_crash",
     "run_fig3",
     "run_fig4",
     "run_full_atlas",

@@ -1,30 +1,39 @@
-"""Chaos harness: the resilience layer under a scripted fault plan.
+"""Chaos harnesses: the resilience layer under faults and crashes.
 
-Runs a laptop-scale batch through the *real* four-step pipeline while a
-:class:`~repro.core.resilience.FaultPlan` injects failures — transient
-prefetch/dump faults that retries absorb, one permanent failure that
-becomes a ``FAILED`` result, and (with ``workers > 1``) an engine-worker
-SIGKILL mid-campaign — then verifies the central guarantee: every
-accession that survived produced output identical to a fault-free serial
-run, and the batch returned one result per accession in submission
-order.
+:func:`run_chaos` runs a laptop-scale batch through the *real* four-step
+pipeline while a :class:`~repro.core.resilience.FaultPlan` injects
+failures — transient prefetch/dump faults that retries absorb, one
+permanent failure that becomes a ``FAILED`` result, and (with
+``workers > 1``) an engine-worker SIGKILL mid-campaign — then verifies
+the central guarantee: every accession that survived produced output
+identical to a fault-free serial run, and the batch returned one result
+per accession in submission order.  This is the executable form of the
+acceptance scenario in the README's "Failure semantics & fault
+injection" section; ``python -m repro chaos`` prints its table.
 
-This is the executable form of the acceptance scenario in the README's
-"Failure semantics & fault injection" section; ``python -m repro chaos``
-prints its table.
+:func:`run_crash` proves crash recovery instead: a forked victim is
+SIGKILLed right after its k-th durable journal append, and recovery —
+resume, streamed resume, S3 adoption under a fenced lease, or FaaS
+scatter adoption (see :data:`CRASH_MODES`) — must reproduce the
+uninterrupted run's outcomes and count matrix byte for byte.  Every
+append index is a crash point, so tests can enumerate them all
+(``python -m repro chaos --crash MODE`` runs one).
 """
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import time
-from dataclasses import dataclass, field
+import traceback
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
 from repro.align.cache import cached_genome_generate
 from repro.align.star import StarAligner, StarParameters
+from repro.cloud.s3 import S3Bucket, S3Service
 from repro.core.early_stopping import EarlyStoppingPolicy
 from repro.core.journal import RunJournal
 from repro.core.pipeline import (
@@ -34,9 +43,17 @@ from repro.core.pipeline import (
     RunStatus,
     TranscriptomicsAtlasPipeline,
 )
+from repro.core.replication import (
+    BatchLease,
+    FencedOut,
+    LeaseHeld,
+    ReplicatedJournal,
+    reconstruct_journal,
+)
 from repro.core.resilience import FaultPlan, RetryPolicy
 from repro.genome.ensembl import EnsemblRelease, build_release_assembly
 from repro.genome.synth import GenomeUniverseSpec, make_universe
+from repro.quant.matrix import CountMatrix
 from repro.reads.library import LibraryType, SampleProfile
 from repro.reads.simulator import ReadSimulator
 from repro.reads.sra import SraArchive, SraRepository
@@ -152,12 +169,11 @@ class ChaosResult:
 
 
 def _comparable(result: PipelineResult) -> tuple:
-    """The output surface that must be identical across execution modes
-    (wall-clock timings excluded — everything else must match)."""
+    """The output surface that must be identical across execution modes,
+    live or replayed from a journal: everything but wall-clock timings
+    and what the journal does not keep (per-read outcomes and the full
+    ``GeneCounts`` object — the count column is ``result.counts``)."""
     final = result.star_result.final if result.star_result else None
-    counts = (
-        result.star_result.gene_counts if result.star_result else None
-    )
     return (
         result.accession,
         result.status,
@@ -172,7 +188,6 @@ def _comparable(result: PipelineResult) -> tuple:
             final.unmapped,
             final.aborted,
         ),
-        None if counts is None else counts.column_vector("unstranded"),
     )
 
 
@@ -279,8 +294,8 @@ def build_demo_inputs(
 
     Shared by ``python -m repro pipeline`` and tests that need a real
     four-step pipeline without inventing their own synthetic corpus.
-    ``cache_dir`` makes repeated builds (e.g. the resume scenario's
-    victim + resume + reference runs) mmap-load one cached index.
+    ``cache_dir`` makes repeated builds (e.g. one crash reference per
+    mode) mmap-load one cached index.
     """
     rng = ensure_rng(seed)
     universe = make_universe(GenomeUniverseSpec(), rng)
@@ -309,87 +324,171 @@ def build_demo_inputs(
 
 
 # --------------------------------------------------------------------------
-# kill-mid-batch → resume
+# crash at the k-th journal append → recover
 # --------------------------------------------------------------------------
+
+#: reads per alignment shard in every crash mode (the shard-checkpoint
+#: granularity of ``s3`` and ``faas``)
+_ALIGN_BATCH_SIZE = 64
+#: the victim's lease TTL in ``s3`` mode: the adopter must wait it out
+_LEASE_TTL = 0.1
+#: function crashes armed on the ``faas`` adopter; its retries absorb them
+_FUNCTION_FAILURES = 2
+_S3_BUCKET = "atlas-journal"
+_S3_PREFIX = "batch"
+_LEASE_KEY = f"{_S3_PREFIX}/lease"
 
 
 @dataclass(frozen=True)
-class ResumeChaosSpec:
-    """Parameters of the kill-mid-batch → resume scenario."""
+class _Mode:
+    """The execution shape one crash mode runs victim and recovery in."""
 
-    n_accessions: int = 5
-    n_reads: int = 100
-    read_length: int = 80
+    workers: int = 1
+    streaming: bool = False
+    backend: str | None = None
+    shard_checkpoints: bool = False
+    #: journal mirrored to S3; recovery adopts it on a fresh "instance"
+    replicated: bool = False
+
+
+_MODES = {
+    "local": _Mode(),
+    "stream": _Mode(streaming=True),
+    "s3": _Mode(workers=2, shard_checkpoints=True, replicated=True),
+    "faas": _Mode(backend="faas", shard_checkpoints=True),
+}
+
+#: the recovery paths :func:`run_crash` exercises
+CRASH_MODES = tuple(_MODES)
+
+
+@dataclass(frozen=True)
+class CrashSpec:
+    """One crash point: which recovery path, and after which append."""
+
+    #: one of :data:`CRASH_MODES`
+    mode: str = "local"
+    #: SIGKILL the victim right after this many durable journal appends;
+    #: None → the middle record of the second accession in the reference
+    #: journal (the first accession has committed, the second is mid-way)
+    crash_after: int | None = None
+    n_accessions: int = 3
+    n_reads: int = 300
     seed: int = 0
-    #: retry backoff injected on the second accession; this is the window
-    #: in which the victim process is SIGKILLed, so it must comfortably
-    #: exceed the parent's journal polling latency
-    stall_seconds: float = 2.0
-    #: give up if the victim never journals a terminal record (a completed
-    #: first accession) within this wall-clock budget
-    kill_timeout: float = 120.0
-    #: journal location; None → inside the scenario's temp directory
-    journal_path: Path | None = None
     #: route index construction through an IndexCache rooted here
     cache_dir: Path | None = None
-    #: run the victim and the resumed batch through the streaming DAG;
-    #: the reference stays sequential, so the scenario additionally
-    #: proves kill-mid-stream safety and journal shape interchange
-    streaming: bool = False
 
     def __post_init__(self) -> None:
+        if self.mode not in CRASH_MODES:
+            raise ValueError(
+                f"mode must be one of {CRASH_MODES}, got {self.mode!r}"
+            )
         if self.n_accessions < 2:
             raise ValueError("n_accessions must be >= 2")
-        if self.stall_seconds <= 0:
-            raise ValueError("stall_seconds must be positive")
-
-    @property
-    def accessions(self) -> list[str]:
-        return [f"SRR9200{i:03d}" for i in range(1, self.n_accessions + 1)]
+        if self.crash_after is not None and self.crash_after < 1:
+            raise ValueError("crash_after must be >= 1")
 
 
 @dataclass
-class ResumeChaosResult:
-    """Everything the kill-and-resume scenario observed."""
+class CrashReference:
+    """The uninterrupted, journaled run every crash point is compared to.
 
+    Built once per spec by :func:`crash_reference`; passing it to
+    :func:`run_crash` for each crash point means enumerating points
+    re-runs only the victim and the recovery.
+    """
+
+    #: the spec it was built for, with ``crash_after=None``
+    spec: CrashSpec
+    aligner: StarAligner
+    repo: SraRepository
+    accessions: list[str]
+    results: list[PipelineResult]
+    matrix: CountMatrix
+    #: the accession of each journal append, in order (None: batch-start)
+    appended: list[str | None]
+
+    @property
+    def appends(self) -> int:
+        """Journal appends of the whole batch: the crash points."""
+        return len(self.appended)
+
+    @property
+    def default_crash_after(self) -> int:
+        """The middle append among the second accession's records."""
+        second = [
+            i
+            for i, acc in enumerate(self.appended, start=1)
+            if acc == self.accessions[1]
+        ]
+        return second[len(second) // 2]
+
+
+@dataclass
+class CrashResult:
+    """Everything one crash-and-recover run observed."""
+
+    mode: str
+    #: the victim died right after this journal append (1-based)
+    crash_after: int
+    #: appends the uninterrupted reference journal made
+    appends: int
+    accessions: list[str]
     results: list[PipelineResult]
     reference: list[PipelineResult]
-    #: accessions whose terminal record survived the SIGKILL
-    completed_before_kill: list[str]
-    #: accessions replayed from the journal (not re-run) on resume
+    #: accessions with a terminal record in the post-crash journal
+    completed_before_crash: list[str]
+    #: accessions started but not terminal in the post-crash journal
+    in_flight: list[str]
+    #: accessions recovery replayed from the journal / re-executed
     replayed: list[str]
-    #: accessions the resumed batch actually re-executed
     reexecuted: list[str]
-    #: the post-kill journal ended in a torn (partial) final line
-    torn_tail: bool
-    #: per-accession outcomes identical to the uninterrupted run
+    #: ``align.shard`` records of non-terminal accessions in the
+    #: post-crash journal
+    shards_journaled: int
+    #: shards recovery merged from those checkpoints / re-aligned
+    shards_replayed: int
+    shards_realigned: int
+    #: per-accession outcomes identical to the uninterrupted reference
     outputs_identical: bool
-    #: count matrix identical to the uninterrupted run
+    #: count matrix identical to the uninterrupted reference
     matrix_identical: bool
-    #: resume skipped exactly the accessions completed before the kill
-    replay_exact: bool
+    #: ``s3`` only: the adopter's fencing token (the victim held 1)
+    adopter_token: int | None = None
+    #: ``s3`` only: the dead victim's late publish raised FencedOut
+    stale_publish_rejected: bool | None = None
+    #: ``faas`` only: armed function crashes the adopter's retries absorbed
+    function_kills_absorbed: int | None = None
+
+    @property
+    def replay_exact(self) -> bool:
+        """Recovery replayed exactly the accessions committed before the
+        crash (and so re-executed exactly the rest)."""
+        return sorted(self.replayed) == self.completed_before_crash
 
     @property
     def passed(self) -> bool:
         return (
-            bool(self.completed_before_kill)
-            and self.outputs_identical
+            self.outputs_identical
             and self.matrix_identical
             and self.replay_exact
+            and self.shards_replayed == self.shards_journaled
+            and (self.adopter_token is None or self.adopter_token > 1)
+            and self.stale_publish_rejected is not False
         )
 
     def to_table(self) -> str:
-        replayed = set(self.replayed)
         table = Table(
             ["accession", "status", "source", "mapped %"],
-            title="Resume chaos — SIGKILL mid-batch, resumed from journal",
+            title=f"Crash chaos ({self.mode}) — SIGKILL after journal "
+            f"append {self.crash_after} of {self.appends}, then recovery",
         )
         for r in self.results:
             table.add_row(
                 [
                     r.accession,
                     r.status.value,
-                    "journal" if r.accession in replayed else "re-run",
+                    "journal" if r.resumed else "re-run",
                     f"{100 * r.mapped_fraction:.1f}"
                     if r.status is not RunStatus.FAILED
                     else "-",
@@ -397,795 +496,286 @@ class ResumeChaosResult:
             )
         lines = [
             table.render(),
-            f"completed before kill: {self.completed_before_kill}",
-            f"torn tail after kill: {self.torn_tail}",
-            f"replay exact: {self.replay_exact}  "
-            f"outputs identical: {self.outputs_identical}  "
-            f"count matrix identical: {self.matrix_identical}",
+            f"completed before crash: {self.completed_before_crash}  "
+            f"in flight: {self.in_flight}",
+            f"shards: {self.shards_replayed} replayed of "
+            f"{self.shards_journaled} journaled, {self.shards_realigned} "
+            "re-aligned",
         ]
+        if self.adopter_token is not None:
+            lines.append(
+                f"adopter fencing token: {self.adopter_token}; stale "
+                f"holder's publish rejected: {self.stale_publish_rejected}"
+            )
+        if self.function_kills_absorbed is not None:
+            lines.append(
+                "function crashes absorbed on adoption: "
+                f"{self.function_kills_absorbed}"
+            )
+        lines.append(
+            f"replay exact: {self.replay_exact}  outputs identical: "
+            f"{self.outputs_identical}  count matrix identical: "
+            f"{self.matrix_identical}"
+        )
         return "\n".join(lines)
 
 
-def _resume_comparable(result: PipelineResult) -> tuple:
-    """Output surface comparable between live and journal-replayed results.
-
-    Unlike :func:`_comparable` this omits the full ``GeneCounts`` object
-    (the journal persists only the count *column* the matrix needs) — the
-    per-gene counts are still covered via ``result.counts``.
-    """
-    final = result.star_result.final if result.star_result else None
-    return (
-        result.accession,
-        result.status,
-        result.counts,
-        result.paired,
-        None
-        if final is None
-        else (
-            final.reads_processed,
-            final.mapped_unique,
-            final.mapped_multi,
-            final.unmapped,
-            final.aborted,
+def _pipeline(
+    mode: _Mode, aligner: StarAligner, repo: SraRepository, work: Path
+) -> TranscriptomicsAtlasPipeline:
+    return TranscriptomicsAtlasPipeline(
+        repo,
+        aligner,
+        work,
+        config=PipelineConfig(
+            workers=mode.workers,
+            align_batch_size=_ALIGN_BATCH_SIZE,
+            write_outputs=False,
         ),
     )
 
 
-def run_resume_chaos(spec: ResumeChaosSpec | None = None) -> ResumeChaosResult:
-    """Kill a journaled batch mid-flight, resume it, compare to fault-free.
-
-    A child process runs the batch with a journal; a scripted transient
-    fault puts the *second* accession into retry backoff for
-    ``stall_seconds``, giving the parent a deterministic window — after
-    the first accession's ``completed`` record is durably on disk — to
-    SIGKILL the child.  The parent then resumes the same batch from the
-    journal in-process and checks the central guarantee: the resumed
-    batch replays exactly the completed accessions, re-executes the
-    rest, and its per-accession outcomes and count matrix are identical
-    to an uninterrupted run.
-    """
-    spec = spec or ResumeChaosSpec()
-    rng = ensure_rng(spec.seed)
-    universe = make_universe(GenomeUniverseSpec(), rng)
-    assembly = build_release_assembly(
-        universe, EnsemblRelease.R111, rng=derive_rng(rng, "assembly")
+def _options(
+    mode: _Mode,
+    journal: RunJournal,
+    *,
+    resume: bool = False,
+    streaming: bool = False,
+) -> BatchOptions:
+    return BatchOptions(
+        journal=journal,
+        resume=resume,
+        streaming=streaming,
+        backend=mode.backend,
+        shard_checkpoints=mode.shard_checkpoints,
     )
-    index = cached_genome_generate(
-        assembly, universe.annotation, cache_dir=spec.cache_dir
+
+
+def _same_matrix(a: CountMatrix, b: CountMatrix) -> bool:
+    return (
+        a.gene_ids == b.gene_ids
+        and a.sample_ids == b.sample_ids
+        and bool((a.counts == b.counts).all())
     )
-    aligner = StarAligner(index, StarParameters(progress_every=50))
-    simulator = ReadSimulator(assembly, universe.annotation)
 
-    accessions = spec.accessions
-    repo = SraRepository()
-    for i, acc in enumerate(accessions):
-        sample = simulator.simulate(
-            SampleProfile(
-                library=LibraryType.BULK_POLYA,
-                n_reads=spec.n_reads,
-                read_length=spec.read_length,
-            ),
-            rng=1700 + i,
-            read_id_prefix=acc,
-        )
-        repo.deposit(SraArchive(acc, LibraryType.BULK_POLYA, sample.records))
 
-    # two transient faults on the second accession → two backoff sleeps of
-    # stall_seconds each: the kill window.  The plan text is part of the
-    # config fingerprint, so victim / resume / reference all share it.
-    plan_text = f"prefetch:{accessions[1]}:transient*2"
-
-    def make_config() -> PipelineConfig:
-        return PipelineConfig(
-            early_stopping=EarlyStoppingPolicy(min_reads=20),
-            write_outputs=False,
-            retry=RetryPolicy(
-                max_attempts=3,
-                base_delay=spec.stall_seconds,
-                max_delay=spec.stall_seconds,
-            ),
-            fault_plan=FaultPlan.parse(plan_text),
-        )
-
-    with TemporaryDirectory(prefix="resume-chaos-") as tmp:
+def crash_reference(spec: CrashSpec) -> CrashReference:
+    """Build the inputs and run the batch once, uninterrupted and
+    journaled, in the mode's execution shape — sequential even for
+    ``stream``, so the streamed recovery is checked against it."""
+    spec = replace(spec, crash_after=None)
+    mode = _MODES[spec.mode]
+    aligner, repo, accessions = build_demo_inputs(
+        spec.n_accessions,
+        n_reads=spec.n_reads,
+        seed=spec.seed,
+        prefix="SRR9200",
+        cache_dir=spec.cache_dir,
+    )
+    with TemporaryDirectory(prefix="crash-reference-") as tmp:
         tmp_path = Path(tmp)
-        journal_path = spec.journal_path or (tmp_path / "batch.jsonl")
-        # the journal is this scenario's artifact: start it fresh so a
-        # re-run (e.g. `repro chaos --resume --journal X` twice) doesn't
-        # replay a previous invocation's terminal records
-        journal_path.unlink(missing_ok=True)
+        with RunJournal(tmp_path / "journal.jsonl") as journal:
+            with _pipeline(mode, aligner, repo, tmp_path) as pipeline:
+                results = pipeline.run_batch(accessions, _options(mode, journal))
+                matrix = pipeline.build_count_matrix()
+        appended = [
+            json.loads(line).get("acc")
+            for line in journal.path.read_text(encoding="utf-8").splitlines()
+        ]
+    return CrashReference(
+        spec, aligner, repo, accessions, results, matrix, appended
+    )
 
-        pid = os.fork()
-        if pid == 0:
-            # victim child: run the journaled batch until SIGKILLed.
-            # os._exit keeps pytest/atexit machinery from running twice.
-            code = 1
-            try:
-                victim = TranscriptomicsAtlasPipeline(
-                    repo,
-                    aligner,
-                    tmp_path / "victim",
-                    config=make_config(),
-                )
-                victim.run_batch(
-                    accessions,
-                    BatchOptions(
-                        streaming=spec.streaming, journal=journal_path
-                    ),
-                )
-                code = 0
-            finally:
-                os._exit(code)
 
+def _crash_victim(
+    pipeline: TranscriptomicsAtlasPipeline,
+    accessions: list[str],
+    options: BatchOptions,
+    crash_after: int,
+) -> None:
+    """Run the batch in a forked victim that dies by SIGKILL — engine
+    pool first, then itself — right after its ``crash_after``-th durable
+    (and, for a replicated journal, replicated) journal append."""
+    journal = options.journal
+    pid = os.fork()
+    if pid == 0:
+        # os._exit keeps the parent's atexit/pytest machinery from running
+        # twice
+        code = 1
         try:
-            completed_before: list[str] = []
-            deadline = time.monotonic() + spec.kill_timeout
-            while time.monotonic() < deadline:
-                replay = RunJournal(journal_path).replay()
-                if replay.terminal:
-                    completed_before = sorted(replay.terminal)
-                    break
-                time.sleep(0.02)
+            after_append = journal._after_append
+
+            def crash_at_k(line: str, record: dict) -> None:
+                after_append(line, record)
+                if journal.appends == crash_after:
+                    engine = pipeline._engine
+                    if engine is not None:
+                        for worker in engine.worker_pids():
+                            os.kill(worker, signal.SIGKILL)
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+            journal._after_append = crash_at_k
+            pipeline.run_batch(accessions, options)
+            code = 0
+        except Exception:
+            traceback.print_exc()
         finally:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        if not completed_before:
-            raise RuntimeError(
-                "victim never journaled a terminal record within "
-                f"{spec.kill_timeout}s"
-            )
-
-        post_kill = RunJournal(journal_path).replay()
-
-        resumed = TranscriptomicsAtlasPipeline(
-            repo, aligner, tmp_path / "resumed", config=make_config()
-        )
-        results = resumed.run_batch(
-            accessions,
-            BatchOptions(
-                streaming=spec.streaming, journal=journal_path, resume=True
-            ),
-        )
-        matrix = resumed.build_count_matrix()
-
-        reference_pipeline = TranscriptomicsAtlasPipeline(
-            repo, aligner, tmp_path / "reference", config=make_config()
-        )
-        reference = reference_pipeline.run_batch(accessions, BatchOptions())
-        ref_matrix = reference_pipeline.build_count_matrix()
-
-    replayed = [r.accession for r in results if r.resumed]
-    reexecuted = [r.accession for r in results if not r.resumed]
-    outputs_identical = len(results) == len(reference) and all(
-        _resume_comparable(r) == _resume_comparable(ref)
-        for r, ref in zip(results, reference)
-    )
-    matrix_identical = (
-        matrix.gene_ids == ref_matrix.gene_ids
-        and matrix.sample_ids == ref_matrix.sample_ids
-        and bool((matrix.counts == ref_matrix.counts).all())
-    )
-    return ResumeChaosResult(
-        results=results,
-        reference=reference,
-        completed_before_kill=completed_before,
-        replayed=replayed,
-        reexecuted=reexecuted,
-        torn_tail=post_kill.torn_tail,
-        outputs_identical=outputs_identical,
-        matrix_identical=matrix_identical,
-        replay_exact=sorted(replayed) == completed_before,
-    )
-
-
-# --------------------------------------------------------------------------
-# kill the whole instance → adopt via S3
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KillInstanceSpec:
-    """Parameters of the kill-instance → S3 adoption scenario."""
-
-    n_accessions: int = 2
-    n_reads: int = 600
-    read_length: int = 60
-    #: engine worker processes (the scenario SIGKILLs the whole pool too)
-    workers: int = 2
-    #: reads per engine shard (controls checkpoint granularity)
-    align_batch_size: int = 64
-    #: SIGKILL instance A after this many shard checkpoints of the
-    #: victim accession have reached S3
-    kill_after_shards: int = 3
-    #: instance A's lease TTL; instance B waits it out before adopting
-    lease_ttl: float = 1.0
-    #: give up if instance A never dies within this wall-clock budget
-    kill_timeout: float = 180.0
-    seed: int = 0
-    #: route index construction through an IndexCache rooted here
-    cache_dir: Path | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_accessions < 2:
-            raise ValueError("n_accessions must be >= 2")
-        if self.kill_after_shards < 1:
-            raise ValueError("kill_after_shards must be >= 1")
-
-    @property
-    def accessions(self) -> list[str]:
-        return [f"SRR9400{i:03d}" for i in range(1, self.n_accessions + 1)]
-
-    @property
-    def victim_accession(self) -> str:
-        """The accession instance A dies inside (the second one, so the
-        first proves whole-accession replay alongside shard adoption)."""
-        return self.accessions[1]
-
-
-@dataclass
-class KillInstanceResult:
-    """Everything the kill-instance scenario observed."""
-
-    results: list[PipelineResult]
-    reference: list[PipelineResult]
-    #: accessions whose terminal record was in S3 when instance A died
-    completed_before_kill: list[str]
-    #: accessions instance B replayed wholesale from the journal
-    replayed: list[str]
-    #: the accession instance B adopted mid-alignment
-    adopted_accession: str
-    #: victim-accession shards merged from S3 checkpoints / re-aligned
-    shards_replayed: int
-    shards_realigned: int
-    #: fencing token instance B adopted with (A held token 1)
-    adopter_token: int
-    #: instance A's late, fenced-out publish raised FencedOut
-    stale_publish_rejected: bool
-    #: per-accession outcomes identical to the uninterrupted reference
-    outputs_identical: bool
-    #: count matrix identical to the uninterrupted reference
-    matrix_identical: bool
-
-    @property
-    def total_shards(self) -> int:
-        return self.shards_replayed + self.shards_realigned
-
-    @property
-    def rework_bounded(self) -> bool:
-        """Instance B re-aligned strictly fewer shards than the accession
-        has — the adoption recovered work instead of restarting."""
-        return self.shards_replayed > 0 and (
-            self.shards_realigned < self.total_shards
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    if not (os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL):
+        made = RunJournal(journal.path).replay().n_records
+        raise RuntimeError(
+            f"victim exited (wait status {status}) after {made} journal "
+            f"appends without reaching append {crash_after}"
         )
 
-    @property
-    def passed(self) -> bool:
-        return (
-            self.rework_bounded
-            and self.stale_publish_rejected
-            and self.adopter_token > 1
-            and self.outputs_identical
-            and self.matrix_identical
-        )
 
-    def to_table(self) -> str:
-        replayed = set(self.replayed)
-        table = Table(
-            ["accession", "status", "source", "mapped %"],
-            title="Kill-instance chaos — instance A SIGKILLed, "
-            "instance B adopted via S3",
-        )
-        for r in self.results:
-            source = (
-                "journal"
-                if r.accession in replayed
-                else (
-                    f"adopted ({self.shards_replayed}/{self.total_shards} "
-                    "shards from S3)"
-                    if r.accession == self.adopted_accession
-                    else "re-run"
-                )
-            )
-            table.add_row(
-                [
-                    r.accession,
-                    r.status.value,
-                    source,
-                    f"{100 * r.mapped_fraction:.1f}"
-                    if r.status is not RunStatus.FAILED
-                    else "-",
-                ]
-            )
-        lines = [
-            table.render(),
-            f"completed before kill: {self.completed_before_kill}",
-            f"adopted {self.adopted_accession} with fencing token "
-            f"{self.adopter_token}; stale holder's publish rejected: "
-            f"{self.stale_publish_rejected}",
-            f"rework bounded: {self.rework_bounded} "
-            f"({self.shards_realigned} of {self.total_shards} shards "
-            "re-aligned)",
-            f"outputs identical: {self.outputs_identical}  "
-            f"count matrix identical: {self.matrix_identical}",
-        ]
-        return "\n".join(lines)
-
-
-def run_kill_instance_chaos(
-    spec: KillInstanceSpec | None = None,
-) -> KillInstanceResult:
-    """SIGKILL a worker *instance* mid-batch; a second instance adopts.
-
-    Instance A (a forked child, standing in for a spot instance) runs a
-    journaled batch with shard checkpoints, replicating every append to
-    a durable-rooted S3 bucket under a fencing-token lease.  A hook on
-    the shard-checkpoint path SIGKILLs the whole process — engine pool
-    and all — after ``kill_after_shards`` checkpoints of the second
-    accession, so the death lands mid-alignment, deterministically.
-
-    Instance B (the parent, a different "instance": different process,
-    different working directory, no access to A's local journal) waits
-    out A's lease, adopts with a bumped fencing token, reconstructs the
-    journal from S3 segments, and resumes: completed accessions replay
-    wholesale, the victim accession re-dispatches only its unfinished
-    shards.  The scenario then proves A's late publish is fenced out and
-    the final results are byte-identical to an uninterrupted reference.
-    """
-    from repro.cloud.s3 import S3Service
-    from repro.core.replication import (
-        BatchLease,
-        FencedOut,
-        LeaseHeld,
-        ReplicatedJournal,
-        reconstruct_journal,
-    )
-
-    spec = spec or KillInstanceSpec()
-    accessions = spec.accessions
-    victim_acc = spec.victim_accession
-
-    def make_config() -> PipelineConfig:
-        return PipelineConfig(
-            workers=spec.workers,
-            align_batch_size=spec.align_batch_size,
-            write_outputs=False,
-        )
-
-    with TemporaryDirectory(prefix="kill-instance-") as tmp:
-        tmp_path = Path(tmp)
-        aligner, repo, _ = build_demo_inputs(
-            spec.n_accessions,
-            n_reads=spec.n_reads,
-            read_length=spec.read_length,
-            seed=spec.seed,
-            prefix="SRR9400",
-            cache_dir=spec.cache_dir,
-        )
-        # the durable root IS the simulated S3's cross-instance storage:
-        # both "instances" see it, neither survives without it
-        s3_root = tmp_path / "s3"
-        prefix = "batch"
-        lease_key = f"{prefix}/lease"
-
-        pid = os.fork()
-        if pid == 0:
-            # instance A: journaled + replicated batch, then die mid-shard
-            code = 1
-            try:
-                bucket = S3Service(root=s3_root).create_bucket("atlas-journal")
-                BatchLease.acquire(
-                    bucket,
-                    lease_key,
-                    "instance-a",
-                    now=time.time(),
-                    ttl=spec.lease_ttl,
-                )
-                journal = ReplicatedJournal(
-                    tmp_path / "a" / "journal.jsonl", bucket, prefix
-                )
-                pipeline = TranscriptomicsAtlasPipeline(
-                    repo, aligner, tmp_path / "a", config=make_config()
-                )
-                seen = {"n": 0}
-
-                def die_mid_shard(acc: str, start: int, end: int) -> None:
-                    if acc != victim_acc:
-                        return
-                    seen["n"] += 1
-                    if seen["n"] >= spec.kill_after_shards:
-                        # the deterministic "spot kill": the whole
-                        # instance — engine pool included — vanishes with
-                        # the checkpoint durably in S3
-                        import multiprocessing
-
-                        for proc in multiprocessing.active_children():
-                            if proc.pid is not None:
-                                os.kill(proc.pid, signal.SIGKILL)
-                        os.kill(os.getpid(), signal.SIGKILL)
-
-                pipeline._shard_record_hook = die_mid_shard
-                pipeline.run_batch(
-                    accessions,
-                    BatchOptions(journal=journal, shard_checkpoints=True),
-                )
-                code = 0
-            finally:
-                os._exit(code)
-
-        deadline = time.monotonic() + spec.kill_timeout
-        status = None
-        while time.monotonic() < deadline:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            time.sleep(0.02)
-        else:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise RuntimeError(
-                f"instance A still alive after {spec.kill_timeout}s"
-            )
-        if not (os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL):
-            raise RuntimeError(
-                "instance A exited instead of dying mid-shard "
-                f"(wait status {status}); the kill hook never fired"
-            )
-
-        # instance B: fresh process state, fresh bucket handle over the
-        # same durable root — A's local journal file is NOT used
-        bucket = S3Service(root=s3_root).create_bucket("atlas-journal")
-        lease = None
-        while lease is None:
-            try:
-                lease = BatchLease.acquire(
-                    bucket,
-                    lease_key,
-                    "instance-b",
-                    now=time.time(),
-                    ttl=max(spec.lease_ttl, 60.0),
-                )
-            except LeaseHeld:
-                time.sleep(0.05)  # A's lease has not expired yet
-
-        journal_b_path = tmp_path / "b" / "journal.jsonl"
-        reconstruct_journal(bucket, prefix, journal_b_path)
-        pre_resume = RunJournal(journal_b_path).replay()
-        completed_before = sorted(pre_resume.terminal)
-
-        journal_b = ReplicatedJournal(journal_b_path, bucket, prefix)
-        resumed = TranscriptomicsAtlasPipeline(
-            repo, aligner, tmp_path / "b", config=make_config()
-        )
-        results = resumed.run_batch(
-            accessions,
-            BatchOptions(
-                journal=journal_b, resume=True, shard_checkpoints=True
-            ),
-        )
-        matrix = resumed.build_count_matrix()
-        by_acc = {c.accession: c for c in resumed._shard_ckpts}
-        victim_ckpt = by_acc.get(victim_acc)
-        shards_replayed = victim_ckpt.hits if victim_ckpt is not None else 0
-        shards_realigned = (
-            victim_ckpt.recorded if victim_ckpt is not None else 0
-        )
-
-        # instance A wakes up (simulated): its stale token-1 lease handle
-        # must be fenced out at publish time
-        results_bucket = S3Service(root=s3_root).create_bucket(
-            "atlas-results"
-        )
-        stale = BatchLease(bucket, lease_key, "instance-a", 1, 0.0)
+def _adopt_lease(bucket: S3Bucket) -> BatchLease:
+    """Take the dead victim's lease by succession once it has expired —
+    the harness's one wait."""
+    while True:
         try:
-            stale.publish(
-                results_bucket, "late/result", 1.0, now=time.time()
+            return BatchLease.acquire(
+                bucket, _LEASE_KEY, "adopter", now=time.time(), ttl=60.0
             )
-            stale_publish_rejected = False
-        except FencedOut:
-            stale_publish_rejected = True
-        # ... while the live adopter's token still publishes fine
-        lease.publish(results_bucket, "adopted/result", 1.0, now=time.time())
-        lease.release(now=time.time())
-
-        reference_pipeline = TranscriptomicsAtlasPipeline(
-            repo, aligner, tmp_path / "reference", config=make_config()
-        )
-        reference = reference_pipeline.run_batch(accessions, BatchOptions())
-        ref_matrix = reference_pipeline.build_count_matrix()
-
-    replayed = [r.accession for r in results if r.resumed]
-    outputs_identical = len(results) == len(reference) and all(
-        _resume_comparable(r) == _resume_comparable(ref)
-        for r, ref in zip(results, reference)
-    )
-    matrix_identical = (
-        matrix.gene_ids == ref_matrix.gene_ids
-        and matrix.sample_ids == ref_matrix.sample_ids
-        and bool((matrix.counts == ref_matrix.counts).all())
-    )
-    return KillInstanceResult(
-        results=results,
-        reference=reference,
-        completed_before_kill=completed_before,
-        replayed=replayed,
-        adopted_accession=victim_acc,
-        shards_replayed=shards_replayed,
-        shards_realigned=shards_realigned,
-        adopter_token=lease.token,
-        stale_publish_rejected=stale_publish_rejected,
-        outputs_identical=outputs_identical,
-        matrix_identical=matrix_identical,
-    )
+        except LeaseHeld as held:
+            time.sleep(max(0.0, held.expires_at - time.time()))
 
 
-# --------------------------------------------------------------------------
-# kill functions mid-shard → scatter-gather adoption
-# --------------------------------------------------------------------------
+def _stale_publish_rejected(
+    bucket: S3Bucket, results_bucket: S3Bucket
+) -> bool:
+    """The victim wakes up holding fencing token 1 and tries to publish."""
+    stale = BatchLease(bucket, _LEASE_KEY, "victim", 1, 0.0)
+    try:
+        stale.publish(results_bucket, "late/result", 1.0, now=time.time())
+    except FencedOut:
+        return True
+    return False
 
 
-@dataclass(frozen=True)
-class FaasChaosSpec:
-    """Parameters of the serverless kill-functions-mid-shard scenario."""
+def run_crash(
+    spec: CrashSpec, reference: CrashReference | None = None
+) -> CrashResult:
+    """Crash a journaled batch at an exact journal append, recover it,
+    and compare with the uninterrupted reference.
 
-    n_accessions: int = 2
-    n_reads: int = 600
-    read_length: int = 60
-    #: reads per function invocation (controls checkpoint granularity)
-    align_batch_size: int = 64
-    #: SIGKILL the driver after this many shard checkpoints of the
-    #: victim accession are durably journaled
-    kill_after_shards: int = 3
-    #: function crashes armed on the *adopting* run — live invocations
-    #: die mid-shard and the backend's retries must absorb them
-    function_failures: int = 2
-    #: give up if the driver never dies within this wall-clock budget
-    kill_timeout: float = 120.0
-    seed: int = 0
-    #: route index construction through an IndexCache rooted here
-    cache_dir: Path | None = None
+    A forked victim runs the batch in the mode's execution shape and is
+    SIGKILLed right after its ``crash_after``-th journal append (see
+    :func:`_crash_victim`), so the crash point is a deterministic append
+    index.  Recovery then differs by mode:
 
-    def __post_init__(self) -> None:
-        if self.n_accessions < 2:
-            raise ValueError("n_accessions must be >= 2")
-        if self.kill_after_shards < 1:
-            raise ValueError("kill_after_shards must be >= 1")
+    * ``local`` — resume from the victim's journal;
+    * ``stream`` — the same, with victim and recovery streaming;
+    * ``s3`` — the victim is an instance with a 2-worker engine, shard
+      checkpoints, a journal replicated to S3 and a batch lease.  A fresh
+      instance waits for the lease to expire, adopts with a bumped
+      fencing token, rebuilds the journal from S3 and resumes; the
+      victim's late publish must raise :class:`FencedOut`;
+    * ``faas`` — serverless scatter-gather with shard checkpoints; the
+      adopter resumes with function crashes armed that its retries must
+      absorb.
 
-    @property
-    def victim_accession(self) -> str:
-        """The accession the driver dies inside (the second, so the
-        first proves whole-accession replay alongside shard adoption)."""
-        return f"SRR9500{2:03d}"
-
-
-@dataclass
-class FaasChaosResult:
-    """Everything the serverless chaos scenario observed."""
-
-    results: list[PipelineResult]
-    reference: list[PipelineResult]
-    #: accessions whose terminal record survived the driver kill
-    completed_before_kill: list[str]
-    #: accessions the resumed driver replayed wholesale from the journal
-    replayed: list[str]
-    #: the accession whose shards were adopted mid-scatter
-    adopted_accession: str
-    #: victim shards merged from checkpoints / re-invoked as functions
-    shards_adopted: int
-    shards_realigned: int
-    #: function crashes injected into (and absorbed by) the adopting run
-    function_kills_absorbed: int
-    #: the adopting run's FaaS service counters (invocations, crashes…)
-    faas_summary: dict
-    #: per-accession outcomes identical to the uninterrupted reference
-    outputs_identical: bool
-    #: count matrix identical to the uninterrupted reference
-    matrix_identical: bool
-
-    @property
-    def total_shards(self) -> int:
-        return self.shards_adopted + self.shards_realigned
-
-    @property
-    def rework_bounded(self) -> bool:
-        """The adoption re-invoked strictly fewer shards than the
-        accession has — checkpointed scatter work was recovered."""
-        return self.shards_adopted > 0 and (
-            self.shards_realigned < self.total_shards
-        )
-
-    @property
-    def passed(self) -> bool:
-        return (
-            bool(self.completed_before_kill)
-            and self.rework_bounded
-            and self.function_kills_absorbed > 0
-            and self.outputs_identical
-            and self.matrix_identical
-        )
-
-    def to_table(self) -> str:
-        replayed = set(self.replayed)
-        table = Table(
-            ["accession", "status", "source", "mapped %"],
-            title="FaaS chaos — driver killed mid-scatter, functions "
-            "killed mid-shard on adoption",
-        )
-        for r in self.results:
-            source = (
-                "journal"
-                if r.accession in replayed
-                else (
-                    f"adopted ({self.shards_adopted}/{self.total_shards} "
-                    "shards from checkpoints)"
-                    if r.accession == self.adopted_accession
-                    else "re-run"
-                )
-            )
-            table.add_row(
-                [
-                    r.accession,
-                    r.status.value,
-                    source,
-                    f"{100 * r.mapped_fraction:.1f}"
-                    if r.status is not RunStatus.FAILED
-                    else "-",
-                ]
-            )
-        lines = [
-            table.render(),
-            f"completed before driver kill: {self.completed_before_kill}",
-            f"rework bounded: {self.rework_bounded} "
-            f"({self.shards_realigned} of {self.total_shards} victim "
-            "shards re-invoked)",
-            f"function crashes absorbed on adoption: "
-            f"{self.function_kills_absorbed}",
-            f"faas: {self.faas_summary}",
-            f"outputs identical: {self.outputs_identical}  "
-            f"count matrix identical: {self.matrix_identical}",
-        ]
-        return "\n".join(lines)
-
-
-def run_faas_chaos(spec: FaasChaosSpec | None = None) -> FaasChaosResult:
-    """Kill the serverless driver mid-scatter, then kill live functions.
-
-    A forked child drives a journaled ``backend="faas"`` batch with
-    shard checkpoints and SIGKILLs itself after ``kill_after_shards``
-    checkpoints of the second accession — mid-scatter, with the dead
-    driver's partial work durable in the journal.  The parent resumes
-    the batch on a fresh driver whose FaaS function is armed to crash
-    the next ``function_failures`` invocations (functions killed
-    mid-shard, live), and proves the central guarantee: adopted shards
-    are merged byte-identically — results and count matrix match an
-    uninterrupted serial reference exactly.
+    ``reference`` (from :func:`crash_reference`, built when None) must
+    match ``spec`` up to ``crash_after``.
     """
-    spec = spec or FaasChaosSpec()
-
-    def make_config() -> PipelineConfig:
-        return PipelineConfig(
-            align_batch_size=spec.align_batch_size,
-            write_outputs=False,
-        )
-
-    with TemporaryDirectory(prefix="faas-chaos-") as tmp:
+    if reference is None:
+        reference = crash_reference(spec)
+    elif reference.spec != replace(spec, crash_after=None):
+        raise ValueError("reference was built for a different spec")
+    mode = _MODES[spec.mode]
+    crash_after = (
+        spec.crash_after
+        if spec.crash_after is not None
+        else reference.default_crash_after
+    )
+    accessions = reference.accessions
+    adopter_token = stale_rejected = function_kills = None
+    with TemporaryDirectory(prefix=f"crash-{spec.mode}-") as tmp:
         tmp_path = Path(tmp)
-        aligner, repo, accessions = build_demo_inputs(
-            spec.n_accessions,
-            n_reads=spec.n_reads,
-            read_length=spec.read_length,
-            seed=spec.seed,
-            prefix="SRR9500",
-            cache_dir=spec.cache_dir,
-        )
-        victim_acc = spec.victim_accession
-        journal_path = tmp_path / "batch.jsonl"
-
-        pid = os.fork()
-        if pid == 0:
-            # the doomed driver: scatter until the kill hook fires
-            code = 1
-            try:
-                pipeline = TranscriptomicsAtlasPipeline(
-                    repo, aligner, tmp_path / "victim", config=make_config()
-                )
-                seen = {"n": 0}
-
-                def die_mid_scatter(acc: str, start: int, end: int) -> None:
-                    if acc != victim_acc:
-                        return
-                    seen["n"] += 1
-                    if seen["n"] >= spec.kill_after_shards:
-                        # no engine pool to reap: the faas driver is a
-                        # single process and dies whole
-                        os.kill(os.getpid(), signal.SIGKILL)
-
-                pipeline._shard_record_hook = die_mid_scatter
-                pipeline.run_batch(
-                    accessions,
-                    BatchOptions(
-                        backend="faas",
-                        journal=journal_path,
-                        shard_checkpoints=True,
-                    ),
-                )
-                code = 0
-            finally:
-                os._exit(code)
-
-        deadline = time.monotonic() + spec.kill_timeout
-        status = None
-        while time.monotonic() < deadline:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            time.sleep(0.02)
+        journal_path = tmp_path / "victim" / "journal.jsonl"
+        if mode.replicated:
+            bucket = S3Service(root=tmp_path / "s3").create_bucket(_S3_BUCKET)
+            BatchLease.acquire(
+                bucket, _LEASE_KEY, "victim", now=time.time(), ttl=_LEASE_TTL
+            )
+            victim_journal = ReplicatedJournal(journal_path, bucket, _S3_PREFIX)
         else:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise RuntimeError(
-                f"faas driver still alive after {spec.kill_timeout}s"
-            )
-        if not (
-            os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
-        ):
-            raise RuntimeError(
-                "faas driver exited instead of dying mid-scatter "
-                f"(wait status {status}); the kill hook never fired"
-            )
-
-        pre_resume = RunJournal(journal_path).replay()
-        completed_before = sorted(pre_resume.terminal)
-
-        # the adopting driver: resume the scatter, with live function
-        # kills armed so retries are exercised during the adoption too
-        resumed = TranscriptomicsAtlasPipeline(
-            repo, aligner, tmp_path / "adopter", config=make_config()
-        )
-        backend = resumed._get_faas_backend()
-        backend.function.fail_next(spec.function_failures)
-        results = resumed.run_batch(
+            victim_journal = RunJournal(journal_path)
+        _crash_victim(
+            _pipeline(mode, reference.aligner, reference.repo, tmp_path / "victim"),
             accessions,
-            BatchOptions(
-                backend="faas",
-                journal=journal_path,
-                resume=True,
-                shard_checkpoints=True,
-            ),
-        )
-        matrix = resumed.build_count_matrix()
-        by_acc = {c.accession: c for c in resumed._shard_ckpts}
-        victim_ckpt = by_acc.get(victim_acc)
-        shards_adopted = victim_ckpt.hits if victim_ckpt is not None else 0
-        shards_realigned = (
-            victim_ckpt.recorded if victim_ckpt is not None else 0
+            _options(mode, victim_journal, streaming=mode.streaming),
+            crash_after,
         )
 
-        reference_pipeline = TranscriptomicsAtlasPipeline(
-            repo, aligner, tmp_path / "reference", config=make_config()
-        )
-        reference = reference_pipeline.run_batch(accessions, BatchOptions())
-        ref_matrix = reference_pipeline.build_count_matrix()
+        journal = RunJournal(journal_path)
+        if mode.replicated:
+            # a fresh instance: a new handle on the durable S3 root and
+            # none of the victim's local files
+            bucket = S3Service(root=tmp_path / "s3").create_bucket(_S3_BUCKET)
+            lease = _adopt_lease(bucket)
+            journal_path = tmp_path / "adopter" / "journal.jsonl"
+            reconstruct_journal(bucket, _S3_PREFIX, journal_path)
+            journal = ReplicatedJournal(journal_path, bucket, _S3_PREFIX)
+        post_crash = journal.replay()
+        if post_crash.n_records != crash_after:
+            raise RuntimeError(
+                f"post-crash journal holds {post_crash.n_records} records, "
+                f"not the {crash_after} appended before the SIGKILL"
+            )
 
-    replayed = [r.accession for r in results if r.resumed]
-    outputs_identical = len(results) == len(reference) and all(
-        _resume_comparable(r) == _resume_comparable(ref)
-        for r, ref in zip(results, reference)
-    )
-    matrix_identical = (
-        matrix.gene_ids == ref_matrix.gene_ids
-        and matrix.sample_ids == ref_matrix.sample_ids
-        and bool((matrix.counts == ref_matrix.counts).all())
-    )
-    return FaasChaosResult(
+        adopter = _pipeline(
+            mode, reference.aligner, reference.repo, tmp_path / "adopter"
+        )
+        with journal, adopter:
+            if mode.backend == "faas":
+                faas = adopter._get_faas_backend()
+                faas.function.fail_next(_FUNCTION_FAILURES)
+            results = adopter.run_batch(
+                accessions,
+                _options(mode, journal, resume=True, streaming=mode.streaming),
+            )
+            matrix = adopter.build_count_matrix()
+            shards = adopter.shard_checkpoint_summary()
+            if mode.backend == "faas":
+                function_kills = faas.crash_retries
+
+        if mode.replicated:
+            results_bucket = S3Service(root=tmp_path / "s3").create_bucket(
+                "atlas-results"
+            )
+            stale_rejected = _stale_publish_rejected(bucket, results_bucket)
+            # ... while the adopter's live token still publishes
+            lease.publish(results_bucket, "adopted/result", 1.0, now=time.time())
+            lease.release(now=time.time())
+            adopter_token = lease.token
+
+    return CrashResult(
+        mode=spec.mode,
+        crash_after=crash_after,
+        appends=reference.appends,
+        accessions=accessions,
         results=results,
-        reference=reference,
-        completed_before_kill=completed_before,
-        replayed=replayed,
-        adopted_accession=victim_acc,
-        shards_adopted=shards_adopted,
-        shards_realigned=shards_realigned,
-        function_kills_absorbed=backend.crash_retries,
-        faas_summary=backend.faas_summary(),
-        outputs_identical=outputs_identical,
-        matrix_identical=matrix_identical,
+        reference=reference.results,
+        completed_before_crash=sorted(post_crash.terminal),
+        in_flight=post_crash.in_flight,
+        replayed=[r.accession for r in results if r.resumed],
+        reexecuted=[r.accession for r in results if not r.resumed],
+        shards_journaled=sum(
+            len(shards_of)
+            for acc, shards_of in post_crash.align_shards.items()
+            if acc not in post_crash.terminal
+        ),
+        shards_replayed=shards["hits"],
+        shards_realigned=shards["recorded"],
+        outputs_identical=len(results) == len(reference.results)
+        and all(
+            _comparable(r) == _comparable(ref)
+            for r, ref in zip(results, reference.results)
+        ),
+        matrix_identical=_same_matrix(matrix, reference.matrix),
+        adopter_token=adopter_token,
+        stale_publish_rejected=stale_rejected,
+        function_kills_absorbed=function_kills,
     )

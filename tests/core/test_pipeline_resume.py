@@ -1,5 +1,6 @@
 """Checkpoint/resume and graceful-drain semantics of the journaled batch."""
 
+import math
 import signal
 import threading
 import time
@@ -166,6 +167,37 @@ class TestJournaledBatch:
         ]
         by_acc = {r.accession: r for r in resumed}
         assert not by_acc[victim].resumed  # re-ran, but from checkpoints
+
+    @pytest.mark.parametrize("via", ["config", "options"])
+    def test_serial_backend_shards_at_align_batch_size(
+        self, simulator, aligner_r111, tmp_path, via
+    ):
+        """``align_batch_size`` (from the config or the batch options) sets
+        the serial backend's shard size, as it does the engine's and
+        FaaS's: 600 reads at 64 journal ten shard checkpoints."""
+        acc = "SRR5000600"
+        repo = SraRepository()
+        sample = simulator.simulate(
+            SampleProfile(LibraryType.BULK_POLYA, n_reads=600, read_length=80),
+            rng=600,
+            read_id_prefix=acc,
+        )
+        repo.deposit(SraArchive(acc, LibraryType.BULK_POLYA, sample.records))
+        size = {"align_batch_size": 64}
+        pipeline = make_pipeline(
+            repo, aligner_r111, tmp_path / "w", **(size if via == "config" else {})
+        )
+        journal_path = tmp_path / "run.jsonl"
+        pipeline.run_batch(
+            [acc],
+            BatchOptions(
+                journal=journal_path,
+                shard_checkpoints=True,
+                **(size if via == "options" else {}),
+            ),
+        )
+        shards = RunJournal(journal_path).replay().align_shards[acc]
+        assert len(shards) == math.ceil(600 / 64)
 
     def test_resume_parallel_matches_serial(
         self, repository, aligner_r111, tmp_path

@@ -309,14 +309,6 @@ class TestShardCheckpointer:
         assert ckpt.recorded == 1
         assert journal.appends == 1
 
-    def test_on_record_hook_fires(self, tmp_path):
-        journal = RunJournal(tmp_path / "run.jsonl")
-        ckpt = ShardCheckpointer(journal, "SRR1", "fp1")
-        seen = []
-        ckpt.on_record = lambda s, e: seen.append((s, e))
-        ckpt.record(0, 64, make_outcomes(), None, make_seed_stats())
-        assert seen == [(0, 64)]
-
 
 class TestJournalInterchange:
     """The interchange guarantee end to end: a journal written with
