@@ -34,9 +34,12 @@ import time
 import weakref
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
+from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import islice
 from multiprocessing import shared_memory
-from multiprocessing.pool import TERMINATE, AsyncResult, Pool
 from pathlib import Path
 
 import numpy as np
@@ -255,21 +258,28 @@ def _align_batch_paired(
 # parent side
 # --------------------------------------------------------------------------
 
+#: worker start method: fork launches every worker on an executor's first
+#: submit, and the workers share the parent's resource tracker (see
+#: :func:`attach_shared_index`)
+_START_METHOD = "fork"
+
+#: attempts a shard gets on the worker pool; a shard whose pool broke on
+#: every one of them is computed in the parent
+_MAX_ATTEMPTS = 3
+
 
 @dataclass
 class EngineHealth:
-    """Failure/recovery accounting for one engine's lifetime.
+    """Failure/recovery accounting for one engine's lifetime."""
 
-    ``degraded`` flips when the worker pool became unusable and the
-    engine switched to computing batches serially in the parent — runs
-    still complete (identical output, serial speed).
-    """
-
+    #: worker pools that broke (a worker died) under a run
     worker_failures: int = 0
+    #: shards resubmitted to a fresh pool after their pool broke
     redispatched_batches: int = 0
+    #: shards computed in the parent: out of attempts, or no pool left
     serial_fallback_batches: int = 0
+    #: fresh pools started in place of broken ones
     pool_restarts: int = 0
-    degraded: bool = False
     #: batches merged that ran through the vectorized batch core
     #: (:mod:`repro.align.batch`) rather than the per-read reference path
     batch_core_batches: int = 0
@@ -279,32 +289,16 @@ class EngineHealth:
     seed_search: SeedSearchStats = field(default_factory=SeedSearchStats)
 
 
-#: sentinel for an exhausted payload stream in _ordered_results
-_NO_PAYLOAD = object()
-
-
-class _LocalResult:
-    """An already-computed batch result quacking like an AsyncResult."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value) -> None:
-        self.value = value
-
-    def ready(self) -> bool:
-        return True
-
-    def get(self, timeout: float | None = None):
-        return self.value
-
-
 @dataclass
 class _Inflight:
-    """One dispatched batch: payload kept so it can be re-dispatched."""
+    """One dispatched shard; the payload is kept so it can be resubmitted."""
 
     payload: object
-    result: "AsyncResult | _LocalResult"
-    attempts: int = 1
+    #: the pool the shard last went to and its future there; no future
+    #: means the parent computes the shard
+    executor: ProcessPoolExecutor | None = None
+    future: Future | None = None
+    attempts: int = 0
 
 
 class ParallelStarAligner:
@@ -329,7 +323,7 @@ class ParallelStarAligner:
     including the ``Log.progress.out`` cadence the early-stopping monitor
     consumes — are identical to a serial run's.  When the monitor aborts,
     batches not yet dispatched are cancelled and at most
-    ``max_inflight`` already-dispatched batches are discarded.
+    ``2 * workers`` already-dispatched batches are discarded.
     """
 
     def __init__(
@@ -339,120 +333,72 @@ class ParallelStarAligner:
         *,
         workers: int = 2,
         batch_size: int | None = None,
-        max_inflight: int | None = None,
         paired_parameters: PairedParameters | None = None,
-        mp_context: str | None = None,
-        health_interval: float = 0.1,
-        max_batch_retries: int = 3,
-        stall_timeout: float = 5.0,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if health_interval <= 0:
-            raise ValueError("health_interval must be positive")
-        if max_batch_retries < 1:
-            raise ValueError("max_batch_retries must be >= 1")
-        if stall_timeout <= 0:
-            raise ValueError("stall_timeout must be positive")
         self.index = index
         self.parameters = parameters or StarParameters()
         self.paired_parameters = paired_parameters or PairedParameters()
         self.workers = workers
         self.batch_size = batch_size
-        self.max_inflight = max_inflight or 2 * workers
-        self.mp_context = mp_context
-        #: how often the merge loop re-checks worker liveness while waiting
-        self.health_interval = health_interval
-        #: dispatch attempts per batch before it is computed in the parent
-        self.max_batch_retries = max_batch_retries
-        #: after a worker failure, how long re-dispatched work may sit
-        #: with no completions before the pool is declared wedged
-        self.stall_timeout = stall_timeout
         self.health = EngineHealth()
         self._blocks: SharedIndexBlocks | None = None
-        self._pool: Pool | None = None
-        self._worker_pids: set[int] = set()
+        self._executor: ProcessPoolExecutor | None = None
         self._local: StarAligner | None = None
         self._local_paired: PairedStarAligner | None = None
-        #: a worker was killed/lost since the last (re)start — arms the
-        #: stall detector (healthy pools never pay stall bookkeeping)
-        self._suspect = False
         self._dispatch_lock = threading.Lock()
         self._active_runs = 0
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _spawn_pool(self) -> Pool:
-        """Create a worker pool attached to the already-published blocks."""
-        ctx = mp.get_context(self.mp_context)
-        return ctx.Pool(
-            processes=self.workers,
+    def _new_executor(self) -> ProcessPoolExecutor:
+        """A worker pool attached to the already-published blocks.
+
+        Fork launches every worker on the first submit; waiting for that
+        warm-up task leaves the workers forked and the pool proven live.
+        """
+        executor = ProcessPoolExecutor(
+            self.workers,
+            mp.get_context(_START_METHOD),
             initializer=_init_worker,
-            initargs=(
-                self._blocks.spec,
-                self.parameters,
-                self.paired_parameters,
-            ),
+            initargs=(self._blocks.spec, self.parameters, self.paired_parameters),
         )
+        executor.submit(os.getpid).result()
+        return executor
 
     def start(self) -> "ParallelStarAligner":
         """Publish the index and spin up the worker pool (idempotent)."""
-        if self._pool is None:
-            self._blocks = SharedIndexBlocks(self.index)
-            self._pool = self._spawn_pool()
-            self._worker_pids = {p.pid for p in self._pool._pool}
-            self._suspect = False
+        with self._dispatch_lock:
+            if self._executor is None:
+                self._blocks = SharedIndexBlocks(self.index)
+                self._executor = self._new_executor()
         return self
 
-    def _teardown_pool(self, pool: Pool) -> None:
-        """Terminate a pool, surviving SIGKILLed workers.
+    def _stop(self, *, wait: bool) -> None:
+        """Shut the pool down and release the blocks (lock held).
 
-        A worker SIGKILLed mid-queue-operation dies *holding* whichever
-        POSIX semaphore it had acquired (process death does not release
-        them) and may leave a half-read byte stream in the task pipe, so
-        every graceful path through ``Pool.terminate`` — the task-queue
-        drain, the result-queue sentinel put — can block forever on a
-        lock no live process will ever release.  When any worker was
-        lost, bypass the graceful machinery entirely: defuse the
-        finalizer (it would rerun — and hang — the same drain at
-        interpreter exit), stop the maintenance threads, and SIGKILL
-        what's left.  Handler threads are daemons, so any parked on a
-        dead semaphore are simply abandoned with the pool.
+        Shards not yet running are cancelled; a run still holding them
+        computes them in the parent.  Before a waiting shutdown, a probe
+        task settles only once the pool has noticed any dead worker, so
+        the shutdown never joins a survivor stuck behind a killed one.
         """
-        if not self._suspect and all(p.is_alive() for p in pool._pool):
-            pool.terminate()
-            pool.join()
-            return
-        pool._terminate.cancel()
-        for handler in (
-            pool._worker_handler,
-            pool._task_handler,
-            pool._result_handler,
-        ):
-            handler._state = TERMINATE
-        try:
-            pool._change_notifier.put(None)
-        except Exception:
-            pass
-        pool._worker_handler.join(timeout=1.0)
-        for proc in pool._pool:
-            if proc.is_alive():
-                proc.kill()
-        for proc in pool._pool:
-            proc.join(timeout=1.0)
-
-    def close(self) -> None:
-        """Tear down the pool and release the shared-memory blocks."""
-        if self._pool is not None:
-            self._teardown_pool(self._pool)
-            self._pool = None
+        if self._executor is not None:
+            if wait:
+                with suppress(BrokenProcessPool):
+                    self._executor.submit(os.getpid).result()
+            self._executor.shutdown(wait=wait, cancel_futures=True)
+            self._executor = None
         if self._blocks is not None:
             self._blocks.close()
             self._blocks = None
-        self._worker_pids = set()
-        self._suspect = False
+
+    def close(self) -> None:
+        """Tear down the pool and release the shared-memory blocks."""
+        with self._dispatch_lock:
+            self._stop(wait=True)
 
     def drain(self, timeout: float | None = None) -> bool:
         """Graceful shutdown: wait for active runs, then :meth:`close`.
@@ -461,34 +407,20 @@ class ParallelStarAligner:
         in-flight alignments finish merging before the pool and the
         shared-memory publication go away.  Returns True when every run
         finished within ``timeout`` seconds (or no run was active);
-        False when the deadline expired and the pool was torn down with
-        work still in flight — those runs degrade to serial-in-parent
-        for whatever batches remain, so they still complete correctly.
+        False when the deadline expired and the pool was shut down with
+        work still in flight — those runs compute whatever shards remain
+        in the parent, so they still complete correctly.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             with self._dispatch_lock:
                 if self._active_runs == 0:
-                    self.close()
+                    self._stop(wait=True)
                     return True
                 if deadline is not None and time.monotonic() >= deadline:
-                    # deadline expired with runs still merging: condemn the
-                    # pool so those runs compute remaining batches in the
-                    # parent (degraded = serial, identical output), then
-                    # tear it down.  _pool is cleared under the lock so no
-                    # merge loop re-dispatches into a dying pool, and the
-                    # end-of-run finalizer skips its pool rebuild.
-                    self.health.degraded = True
-                    pool, self._pool = self._pool, None
-                    break
+                    self._stop(wait=False)
+                    return False
             time.sleep(0.005)
-        if pool is not None:
-            self._teardown_pool(pool)
-        if self._blocks is not None:
-            self._blocks.close()
-            self._blocks = None
-        self._worker_pids = set()
-        return False
 
     def __enter__(self) -> "ParallelStarAligner":
         return self.start()
@@ -505,25 +437,22 @@ class ParallelStarAligner:
 
     def worker_pids(self) -> list[int]:
         """PIDs of currently live pool workers (empty when stopped)."""
-        if self._pool is None:
+        executor = self._executor
+        if executor is None:
             return []
-        return [p.pid for p in self._pool._pool if p.is_alive()]
+        return [p.pid for p in list(executor._processes.values()) if p.is_alive()]
 
     def kill_worker(self, index: int = 0) -> int:
         """SIGKILL one live worker (chaos testing); returns its pid.
 
-        The merge loop notices the death, re-dispatches whatever that
-        worker had in flight, and keeps going — callers observe nothing
-        but latency.
+        The pool breaks; runs resubmit their unfinished shards to a fresh
+        pool and keep going — callers observe nothing but latency.
         """
         pids = self.start().worker_pids()
         if not pids:
             raise RuntimeError("no live workers to kill")
         pid = pids[index % len(pids)]
         os.kill(pid, signal.SIGKILL)
-        # arm the stall detector: depending on what the worker was doing
-        # when it died, the pool may be wedged rather than self-healing
-        self._suspect = True
         return pid
 
     # -- dispatch ------------------------------------------------------------
@@ -558,141 +487,46 @@ class ParallelStarAligner:
             return SingleEndCodec(self._local_aligner()).align
         return PairedEndCodec(self._local_paired_aligner()).align
 
-    def _workers_changed(self) -> bool:
-        """True when the worker set lost a member since the last snapshot."""
-        if self._pool is None:
-            return True
-        procs = list(self._pool._pool)
-        pids = {p.pid for p in procs}
-        changed = pids != self._worker_pids or any(
-            not p.is_alive() for p in procs
-        )
-        if changed:
-            self._worker_pids = pids
-        return changed
+    def _dispatch(self, fn: Callable, entry: _Inflight) -> _Inflight:
+        """Submit ``entry``'s shard to the pool, or leave it to the parent.
 
-    def _submit(self, fn: Callable, local_fn: Callable, payload, attempts=1):
-        """Dispatch one batch to the pool, or compute it locally when
-        the engine is degraded / the pool refuses work."""
-        if not self.health.degraded and self._pool is not None:
-            try:
-                return _Inflight(
-                    payload, self._pool.apply_async(fn, (payload,)), attempts
-                )
-            except Exception:
-                self.health.degraded = True
-        self.health.serial_fallback_batches += 1
-        return _Inflight(payload, _LocalResult(local_fn(payload)), attempts)
-
-    def _recover_inflight(
-        self, fn: Callable, local_fn: Callable, inflight: "deque[_Inflight]"
-    ) -> None:
-        """A worker died: re-dispatch every batch not yet completed.
-
-        The pool auto-respawns workers (same initializer, so the shared
-        index re-attaches); a batch that keeps failing past
-        ``max_batch_retries`` is computed in the parent instead, and if
-        the pool refuses new work the engine degrades to serial-in-parent
-        for everything still pending.  Duplicate execution (the old task
-        may still complete elsewhere) is harmless — batches are pure, and
-        the superseded AsyncResult is simply never read.
+        A broken pool — the one the shard's last attempt ran on, or one a
+        submit finds broken — is replaced by the first run to see it; the
+        shared blocks outlive it, so the index is never republished.  The
+        shard goes to the parent when the engine has no pool (drain
+        expired, or closed) or it has broken ``_MAX_ATTEMPTS`` pools.
         """
-        self.health.worker_failures += 1
-        self._suspect = True
-        for entry in inflight:
-            if isinstance(entry.result, _LocalResult) or entry.result.ready():
-                continue
-            entry.attempts += 1
-            if entry.attempts > self.max_batch_retries or self.health.degraded:
-                self.health.serial_fallback_batches += 1
-                entry.result = _LocalResult(local_fn(entry.payload))
-                continue
-            try:
-                entry.result = self._pool.apply_async(fn, (entry.payload,))
-                self.health.redispatched_batches += 1
-            except Exception:
-                self.health.degraded = True
-                self.health.serial_fallback_batches += 1
-                entry.result = _LocalResult(local_fn(entry.payload))
-
-    def _localize_inflight(
-        self, local_fn: Callable, inflight: "deque[_Inflight]"
-    ) -> None:
-        """Compute every not-yet-ready in-flight batch in the parent."""
-        for entry in inflight:
-            if isinstance(entry.result, _LocalResult) or entry.result.ready():
-                continue
+        with self._dispatch_lock:
+            broken, entry.future = entry.executor, None
+            while self._executor is not None:
+                if self._executor is broken:
+                    broken.shutdown(wait=False)
+                    self._executor = self._new_executor()
+                    self.health.worker_failures += 1
+                    self.health.pool_restarts += 1
+                if entry.attempts == _MAX_ATTEMPTS:
+                    break
+                try:
+                    entry.future = self._executor.submit(fn, entry.payload)
+                except BrokenProcessPool:
+                    broken = self._executor
+                    continue
+                entry.executor = self._executor
+                entry.attempts += 1
+                if entry.attempts > 1:
+                    self.health.redispatched_batches += 1
+                return entry
             self.health.serial_fallback_batches += 1
-            entry.result = _LocalResult(local_fn(entry.payload))
+            return entry
 
-    def _degrade_pool(
-        self, local_fn: Callable, inflight: "deque[_Inflight]"
-    ) -> None:
-        """Declare the pool wedged: serial fallback for everything pending.
-
-        A worker SIGKILLed while blocked reading the shared task queue
-        dies holding the queue's read lock, which wedges the whole pool —
-        respawned workers block on the dead process's lock and no task is
-        ever picked up again.  Re-dispatch cannot fix that, so once
-        re-dispatched work stalls past ``stall_timeout`` the engine stops
-        trusting the pool: pending batches are computed in the parent
-        (identical output, serial speed) and the pool is rebuilt when the
-        last active run finishes.
-        """
-        self.health.degraded = True
-        self._localize_inflight(local_fn, inflight)
-
-    def _await_head(
-        self,
-        fn: Callable,
-        local_fn: Callable,
-        head: _Inflight,
-        inflight: "deque[_Inflight]",
-    ):
-        """Block until the oldest in-flight batch has a value.
-
-        Waits in ``health_interval`` slices: a timeout is the cue to
-        re-check worker liveness, because a batch whose worker was
-        SIGKILLed will never complete on its original AsyncResult.  After
-        a worker loss, time spent waiting with no completions and no
-        further worker churn accumulates toward ``stall_timeout``; hitting
-        it means the pool is wedged and the run degrades to serial.
-        """
-        stalled = 0.0
-        while True:
-            if isinstance(head.result, _LocalResult):
-                return head.result.value
+    def _settle(self, fn: Callable, entry: _Inflight):
+        """Wait for ``entry``'s value, resubmitting it after a pool break."""
+        while entry.future is not None:
             try:
-                return head.result.get(timeout=self.health_interval)
-            except mp.TimeoutError:
-                with self._dispatch_lock:
-                    if self._workers_changed():
-                        self._recover_inflight(fn, local_fn, inflight)
-                        stalled = 0.0
-                        continue
-                    if self.health.degraded:
-                        # another run's merge loop already condemned the
-                        # pool; stop waiting on it immediately
-                        self._localize_inflight(local_fn, inflight)
-                        continue
-                    if self._suspect:
-                        stalled += self.health_interval
-                        if stalled >= self.stall_timeout:
-                            self._degrade_pool(local_fn, inflight)
-
-    def _restart_pool(self) -> None:
-        """Replace a wedged pool with a fresh one (call with lock held).
-
-        The shared-memory blocks outlive the pool, so the rebuild is just
-        process spawn + re-attach — the index is never re-published.
-        """
-        if self._pool is not None:
-            self._teardown_pool(self._pool)
-        self._pool = self._spawn_pool()
-        self._worker_pids = {p.pid for p in self._pool._pool}
-        self._suspect = False
-        self.health.degraded = False
-        self.health.pool_restarts += 1
+                return entry.future.result()
+            except (BrokenProcessPool, CancelledError):
+                self._dispatch(fn, entry)
+        return self._local_equivalent(fn)(entry.payload)
 
     def _ordered_results(self, fn: Callable, payloads: Iterable) -> Iterator:
         """Yield ``(payload, fn(payload))`` pairs in payload order.
@@ -701,45 +535,29 @@ class ParallelStarAligner:
         next item is not available yet; dispatch simply blocks pulling it
         while already-submitted batches keep crunching in the pool (this
         is the engine end of the streaming pipeline's backpressure).
-        Keeps at most ``max_inflight`` batches dispatched.  If the caller
+        Keeps at most ``2 * workers`` batches dispatched.  If the caller
         stops consuming (early abort), the remaining payloads are never
         pulled and in-flight results are abandoned — the pool stays
         usable for subsequent runs.  Worker deaths are absorbed by
-        re-dispatch / serial fallback (see :meth:`_recover_inflight`), a
-        wedged pool by degradation (see :meth:`_degrade_pool`) — so the
-        stream of results is identical no matter what failed.  When the
-        pool was condemned, the last run to finish rebuilds it, keeping
-        the engine usable afterwards.
+        resubmission and the parent fallback (see :meth:`_dispatch`), so
+        the stream of results is identical no matter what failed.
         """
         self.start()
-        local_fn = self._local_equivalent(fn)
         with self._dispatch_lock:
             self._active_runs += 1
         try:
-            inflight: deque[_Inflight] = deque()
+            window: deque[_Inflight] = deque()
             payload_iter = iter(payloads)
-            exhausted = False
             while True:
-                while not exhausted and len(inflight) < self.max_inflight:
-                    payload = next(payload_iter, _NO_PAYLOAD)
-                    if payload is _NO_PAYLOAD:
-                        exhausted = True
-                        break
-                    inflight.append(self._submit(fn, local_fn, payload))
-                if not inflight:
+                for payload in islice(payload_iter, 2 * self.workers - len(window)):
+                    window.append(self._dispatch(fn, _Inflight(payload)))
+                if not window:
                     break
-                value = self._await_head(fn, local_fn, inflight[0], inflight)
-                head = inflight.popleft()
-                yield head.payload, value
+                head = window.popleft()
+                yield head.payload, self._settle(fn, head)
         finally:
             with self._dispatch_lock:
                 self._active_runs -= 1
-                if (
-                    self.health.degraded
-                    and self._active_runs == 0
-                    and self._pool is not None
-                ):
-                    self._restart_pool()
 
     # -- runs ------------------------------------------------------------------
 

@@ -174,9 +174,6 @@ class PipelineConfig:
     #: serial and paired backends, the batch-core cost model for the
     #: engine and FaaS (see :class:`~repro.align.engine.ParallelStarAligner`)
     align_batch_size: int | None = None
-    #: seconds of no-progress after a worker loss before the engine
-    #: declares its pool wedged and degrades to serial (then rebuilds it)
-    engine_stall_timeout: float = 5.0
     #: after a drain request, seconds in-flight accessions may keep
     #: running before their alignment is aborted (status DRAINED); 0
     #: aborts at the next progress checkpoint
@@ -377,7 +374,6 @@ class TranscriptomicsAtlasPipeline:
                     self.aligner.parameters,
                     workers=self.config.workers,
                     batch_size=self._align_batch_size(),
-                    stall_timeout=self.config.engine_stall_timeout,
                 ).start()
             return self._engine
 
@@ -446,7 +442,7 @@ class TranscriptomicsAtlasPipeline:
 
         Returns True when the engine wound down within ``timeout``
         (always True when no engine was running); False when the
-        deadline expired and the pool was torn down hard.
+        deadline expired and the pool was shut down with work in flight.
         """
         self.request_drain(deadline=timeout)
         with self._engine_lock:

@@ -98,8 +98,7 @@ class Stage(Protocol):
     clock lands in (None for batch-scoped stages).  ``prepare`` runs
     once per accession *outside* the retry loop (idempotency not
     required); ``run`` is the retried body and must be safe to invoke
-    again after a transient failure.  ``cost_hint`` is an optional
-    scheduling hint (estimated work units; bytes or reads).
+    again after a transient failure.
     """
 
     name: str
@@ -114,10 +113,6 @@ class Stage(Protocol):
         """Execute the step, writing products onto ``ctx``."""
         ...
 
-    def cost_hint(self, ctx: StageContext) -> float | None:
-        """Estimated work units for this accession (None = unknown)."""
-        ...
-
 
 class PrefetchStage:
     """Step 1: download the ``.sra`` container into the workspace."""
@@ -128,16 +123,6 @@ class PrefetchStage:
 
     def prepare(self, ctx: StageContext) -> None:
         """No setup needed."""
-
-    def cost_hint(self, ctx: StageContext) -> float | None:
-        """Archive size in bytes when the repository can report it."""
-        repo = ctx.pipeline.repository
-        if hasattr(repo, "archive_bytes"):
-            try:
-                return float(repo.archive_bytes(ctx.accession))
-            except KeyError:
-                return None
-        return None
 
     def run(self, ctx: StageContext) -> None:
         """Download the container; detect the library layout from magic."""
@@ -162,12 +147,6 @@ class FasterqDumpStage:
 
     def prepare(self, ctx: StageContext) -> None:
         """No setup needed."""
-
-    def cost_hint(self, ctx: StageContext) -> float | None:
-        """Container size in bytes (decompression work scales with it)."""
-        if ctx.sra_path is not None and ctx.sra_path.exists():
-            return float(ctx.sra_path.stat().st_size)
-        return None
 
     def run(self, ctx: StageContext) -> None:
         """Dump FASTQ file(s) next to the container."""
@@ -252,14 +231,6 @@ class AlignStage:
             else None
         )
 
-    def cost_hint(self, ctx: StageContext) -> float | None:
-        """Read count when known (alignment work scales with it)."""
-        if isinstance(ctx.reads, ReadChunkStream):
-            return float(ctx.reads.reads_total)
-        if ctx.reads is not None:
-            return float(len(ctx.reads))
-        return None
-
     def run(self, ctx: StageContext) -> None:
         """Align, honouring early stopping, drain deadlines, and faults."""
         pipeline = ctx.pipeline
@@ -322,12 +293,6 @@ class Deseq2Stage:
 
     def prepare(self, ctx) -> None:
         """No setup needed."""
-
-    def cost_hint(self, pipeline) -> float | None:
-        """Number of accepted count columns awaiting normalization."""
-        return float(
-            sum(1 for r in pipeline.results if r.status.produced_counts)
-        )
 
     def run(self, pipeline):
         """Median-of-ratios normalization over the accepted columns."""

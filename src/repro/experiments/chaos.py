@@ -76,9 +76,6 @@ class ChaosSpec:
     #: fault plan text (``step:key:kind[*times]``, comma-separated);
     #: None → the default scripted scenario built by :func:`default_plan`
     fault_plan_text: str | None = None
-    #: short wedge-detection window so the engine-kill scenario degrades
-    #: (and recovers) within laptop-scale run times
-    engine_stall_timeout: float = 1.0
     retry: RetryPolicy = field(
         default_factory=lambda: RetryPolicy(
             max_attempts=3, base_delay=0.01, max_delay=0.05
@@ -235,7 +232,6 @@ def run_chaos(spec: ChaosSpec | None = None) -> ChaosResult:
             early_stopping=EarlyStoppingPolicy(min_reads=20),
             write_outputs=False,
             retry=spec.retry,
-            engine_stall_timeout=spec.engine_stall_timeout,
         )
         base.update(overrides)
         return PipelineConfig(**base)

@@ -5,7 +5,7 @@ the paper's optimizations depend on:
 
 * reads from *transcripts* (possibly spanning splice junctions) that the
   aligner should map — their fraction sets the terminal mapping rate;
-* *off-target* reads (random sequence: adapter dimers, rRNA, degraded
+* *off-target* reads (random sequence: adapter dimers, rRNA, decayed
   material) that will not map — dominant in single-cell 3' libraries run
   through a bulk pipeline.
 

@@ -7,17 +7,20 @@ identical between the serial aligner and the multiprocess engine.
 
 import os
 import signal
+import threading
 from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
 from repro.align.engine import (
+    _MAX_ATTEMPTS,
     ParallelStarAligner,
     SharedIndexBlocks,
     attach_shared_index,
 )
 from repro.align.paired import PairedParameters, PairedStarAligner
+from repro.align.runner import SingleEndCodec
 from repro.align.sam import write_paired_sam
 from repro.align.star import StarAligner, StarParameters
 from repro.core.early_stopping import EarlyStoppingPolicy, EarlyStopMonitor
@@ -279,13 +282,11 @@ class TestSharedMemoryLifecycle:
 
 
 class TestWorkerRecovery:
-    """Graceful degradation: SIGKILLed workers must not change outputs."""
+    """Broken pools: SIGKILLed workers must not change outputs."""
 
     def fresh_engine(self, index, **kwargs):
         kwargs.setdefault("workers", 2)
         kwargs.setdefault("batch_size", 16)
-        kwargs.setdefault("health_interval", 0.05)
-        kwargs.setdefault("stall_timeout", 0.3)
         return ParallelStarAligner(
             index, StarParameters(progress_every=50), **kwargs
         )
@@ -293,7 +294,7 @@ class TestWorkerRecovery:
     def test_kill_all_workers_then_run_identical(
         self, index_r111, aligner_r111, bulk_sample
     ):
-        """Killing every worker wedges the pool for sure (one victim dies
+        """Killing every worker breaks the pool for sure (one victim dies
         holding the task-queue lock); the run must still produce serial-
         identical output and leave the engine usable."""
         records = bulk_sample.records
@@ -310,11 +311,12 @@ class TestWorkerRecovery:
             assert par.outcomes == serial.outcomes
             assert par.final.to_text() == serial.final.to_text()
             assert eng.health.worker_failures >= 1
-            # the pool was rebuilt after the degraded run: the engine is
-            # healthy again and the next run matches too
-            assert not eng.health.degraded
+            # the pool was rebuilt: the next run matches too, with every
+            # shard back on the workers
+            fallback = eng.health.serial_fallback_batches
             again = eng.run(records, clock=frozen)
             assert again.outcomes == serial.outcomes
+            assert eng.health.serial_fallback_batches == fallback
 
     def test_kill_mid_run_identical(
         self, index_r111, aligner_r111, bulk_sample
@@ -334,14 +336,93 @@ class TestWorkerRecovery:
             assert par.outcomes == serial.outcomes
             assert par.final.to_text() == serial.final.to_text()
             assert par.gene_counts.to_tab() == serial.gene_counts.to_tab()
-            # whether the pool self-healed or degraded+restarted, the
-            # engine must come out of it healthy
-            assert not eng.health.degraded
+            # the engine comes out of it healthy: the next run matches and
+            # computes no shard in the parent
+            fallback = eng.health.serial_fallback_batches
+            again = eng.run(records, clock=frozen)
+            assert again.outcomes == serial.outcomes
+            assert eng.health.serial_fallback_batches == fallback
+
+    def test_restart_after_expired_drain_uses_the_pool(
+        self, index_r111, aligner_r111, bulk_sample
+    ):
+        """A drain that expires mid-run finishes that run in the parent;
+        a restarted engine then runs every shard on its workers again."""
+        records = bulk_sample.records
+        serial = aligner_r111.run(records, clock=frozen)
+        eng = self.fresh_engine(index_r111).start()
+        try:
+            spec = eng._blocks.spec
+            drained = []
+
+            def draining_monitor(rec) -> bool:
+                if not drained:
+                    drainer = threading.Thread(
+                        target=lambda: drained.append(eng.drain(0.0))
+                    )
+                    drainer.start()
+                    drainer.join(timeout=30)
+                return True
+
+            par = eng.run(records, monitor=draining_monitor, clock=frozen)
+            assert drained == [False]  # the deadline expired mid-run
+            assert par.outcomes == serial.outcomes
+            assert par.final.to_text() == serial.final.to_text()
+            assert par.gene_counts.to_tab() == serial.gene_counts.to_tab()
+            assert eng.shared_bytes == 0
+            for name in (spec.genome_block, spec.suffix_block):
+                with pytest.raises(FileNotFoundError):
+                    shared_memory.SharedMemory(name=name)
+
+            eng.start()
+            fallback = eng.health.serial_fallback_batches
+            again = eng.run(records, clock=frozen)
+            assert again.outcomes == serial.outcomes
+            assert eng.health.serial_fallback_batches == fallback
+        finally:
+            eng.close()
+
+    def test_shard_that_keeps_breaking_the_pool_runs_in_parent(
+        self, index_r111, aligner_r111, bulk_sample, monkeypatch
+    ):
+        records = bulk_sample.records
+        serial = aligner_r111.run(records, clock=frozen)
+        clean = records[:32]
+        serial_clean = aligner_r111.run(clean, clock=frozen)
+        poison = records[40].read_id  # the third 16-read shard
+        parent = os.getpid()
+        align = SingleEndCodec.align
+
+        def fatal_in_workers(codec, payload):
+            if os.getpid() != parent and any(r.read_id == poison for r in payload):
+                os._exit(1)
+            return align(codec, payload)
+
+        # patched before the fork, so the workers inherit it
+        monkeypatch.setattr(SingleEndCodec, "align", fatal_in_workers)
+        with self.fresh_engine(index_r111) as eng:
+            par = eng.run(records, clock=frozen)
+            assert par.outcomes == serial.outcomes
+            assert par.progress == serial.progress
+            assert par.final.to_text() == serial.final.to_text()
+            assert par.gene_counts.to_tab() == serial.gene_counts.to_tab()
+            # the poison shard broke one pool per attempt, then ran in the
+            # parent; every other shard ran on the workers
+            assert eng.health.serial_fallback_batches == 1
+            assert eng.health.worker_failures == _MAX_ATTEMPTS
+            assert eng.health.pool_restarts == _MAX_ATTEMPTS
+
+            again = eng.run(clean, clock=frozen)
+            assert again.outcomes == serial_clean.outcomes
+            assert eng.health.serial_fallback_batches == 1
+            assert eng.health.worker_failures == _MAX_ATTEMPTS
 
     def test_close_after_kill_does_not_hang(self, index_r111):
         eng = self.fresh_engine(index_r111).start()
         eng.kill_worker()
-        eng.close()  # must return promptly despite the wedged pool
+        # must return promptly, though a survivor may be stuck behind the
+        # task-queue lock the killed worker held
+        eng.close()
         assert eng.shared_bytes == 0
 
     def test_health_counters_start_clean(self, index_r111):
@@ -350,7 +431,6 @@ class TestWorkerRecovery:
         assert eng.health.redispatched_batches == 0
         assert eng.health.serial_fallback_batches == 0
         assert eng.health.pool_restarts == 0
-        assert not eng.health.degraded
         assert eng.health.seed_search.queries == 0
 
 
@@ -379,12 +459,6 @@ class TestValidation:
             ParallelStarAligner(index_r111, workers=0)
         with pytest.raises(ValueError):
             ParallelStarAligner(index_r111, batch_size=0)
-        with pytest.raises(ValueError):
-            ParallelStarAligner(index_r111, health_interval=0)
-        with pytest.raises(ValueError):
-            ParallelStarAligner(index_r111, max_batch_retries=0)
-        with pytest.raises(ValueError):
-            ParallelStarAligner(index_r111, stall_timeout=0)
 
     def test_unequal_mate_lists_rejected(self, engine, paired_sample):
         with pytest.raises(ValueError):
