@@ -41,7 +41,12 @@ class GeneCountsPartial:
 
 @dataclass
 class GeneCounts:
-    """Accumulator for gene-level counts over one alignment run."""
+    """Accumulator for gene-level counts over one alignment run.
+
+    Only genes that were counted hold a row (``hits``), so building,
+    filling and partialling a per-shard accumulator costs O(genes hit),
+    not O(annotation).  ``counts`` is the dense view over every gene.
+    """
 
     annotation: Annotation
     n_unmapped: int = 0
@@ -53,11 +58,15 @@ class GeneCounts:
     n_ambiguous: dict[str, int] = field(
         default_factory=lambda: {c: 0 for c in STRAND_COLUMNS}
     )
-    counts: dict[str, dict[str, int]] = field(default_factory=dict)
+    #: gene id -> per-column counts, for genes counted at least once
+    hits: dict[str, dict[str, int]] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        for gene_id in self.annotation.gene_ids:
-            self.counts.setdefault(gene_id, {c: 0 for c in STRAND_COLUMNS})
+    def _row(self, gene_id: str) -> dict[str, int]:
+        row = self.hits.get(gene_id)
+        if row is None:
+            self.annotation.ordinal(gene_id)  # KeyError for a foreign gene
+            row = self.hits[gene_id] = dict.fromkeys(STRAND_COLUMNS, 0)
+        return row
 
     # -- accumulation ------------------------------------------------------
 
@@ -96,21 +105,23 @@ class GeneCounts:
         elif len(genes) > 1:
             self.n_ambiguous[column] += 1
         else:
-            self.counts[genes[0].gene_id][column] += 1
+            self._row(genes[0].gene_id)[column] += 1
 
     # -- partials (parallel engine) ------------------------------------------
 
     def to_partial(self) -> GeneCountsPartial:
-        """Extract the non-zero state as an annotation-free partial."""
+        """Extract the non-zero state as an annotation-free partial.
+
+        Genes are listed in annotation order.
+        """
         return GeneCountsPartial(
             n_unmapped=self.n_unmapped,
             n_multimapping=self.n_multimapping,
             n_no_feature=dict(self.n_no_feature),
             n_ambiguous=dict(self.n_ambiguous),
             gene_counts={
-                gene_id: dict(row)
-                for gene_id, row in self.counts.items()
-                if any(row[c] for c in STRAND_COLUMNS)
+                gene_id: dict(self.hits[gene_id])
+                for gene_id in sorted(self.hits, key=self.annotation.ordinal)
             },
         )
 
@@ -122,15 +133,21 @@ class GeneCounts:
             self.n_no_feature[c] += partial.n_no_feature[c]
             self.n_ambiguous[c] += partial.n_ambiguous[c]
         for gene_id, row in partial.gene_counts.items():
-            mine = self.counts[gene_id]
+            mine = self._row(gene_id)
             for c in STRAND_COLUMNS:
                 mine[c] += row[c]
 
     # -- reporting -----------------------------------------------------------
 
+    @property
+    def counts(self) -> dict[str, dict[str, int]]:
+        """Gene id → per-column counts for every gene, in annotation order."""
+        zero = dict.fromkeys(STRAND_COLUMNS, 0)
+        return {g: dict(self.hits.get(g, zero)) for g in self.annotation.gene_ids}
+
     def total_assigned(self, column: str = "unstranded") -> int:
         """Reads assigned to exactly one gene under ``column``."""
-        return sum(c[column] for c in self.counts.values())
+        return sum(row[column] for row in self.hits.values())
 
     def column_vector(self, column: str = "unstranded") -> dict[str, int]:
         """Gene id → count for one strandedness convention."""
@@ -162,8 +179,7 @@ class GeneCounts:
                 ["N_ambiguous"] + [str(self.n_ambiguous[c]) for c in STRAND_COLUMNS]
             ),
         ]
-        for gene_id in self.annotation.gene_ids:
-            row = self.counts[gene_id]
+        for gene_id, row in self.counts.items():
             lines.append(
                 "\t".join([gene_id] + [str(row[c]) for c in STRAND_COLUMNS])
             )

@@ -8,7 +8,9 @@ simulator and the splice-junction database (``sjdb``).
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,6 +141,8 @@ class Gene:
     transcripts: list[Transcript] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        if not self.transcripts:
+            raise ValueError(f"gene {self.gene_id} has no transcripts")
         for t in self.transcripts:
             if t.gene_id != self.gene_id:
                 raise ValueError(
@@ -159,16 +163,49 @@ class Gene:
         return SequenceRegion(self.contig, self.start, self.end)
 
 
+class _ContigIndex(NamedTuple):
+    """One contig's genes as rows sorted by (start, annotation ordinal)."""
+
+    starts: list[int]
+    ends: list[int]
+    #: annotation ordinal of each row
+    ordinals: list[int]
+    #: longest gene extent on the contig: a gene ending after ``s``
+    #: starts after ``s - longest``
+    longest: int
+
+
+class _Lookup(NamedTuple):
+    #: gene id -> annotation ordinal
+    ordinals: dict[str, int]
+    contigs: dict[str, _ContigIndex]
+
+
 @dataclass
 class Annotation:
-    """All genes of an assembly, with index structures for assignment."""
+    """All genes of an assembly, with index structures for assignment.
+
+    Lookups go through a per-contig index of gene extents, built on the
+    first query and kept out of pickled state; the gene list must not
+    change after that.
+    """
 
     genes: list[Gene] = field(default_factory=list)
+
+    #: None until the first query, and in pickles (including those
+    #: written before the index existed); set in one store, so threads
+    #: racing on a first query each build an equal index
+    _lookup = None
 
     def __post_init__(self) -> None:
         ids = [g.gene_id for g in self.genes]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate gene ids in annotation")
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_lookup", None)
+        return state
 
     def __len__(self) -> int:
         return len(self.genes)
@@ -184,17 +221,35 @@ class Annotation:
     def transcripts(self) -> list[Transcript]:
         return [t for g in self.genes for t in g.transcripts]
 
+    def _index(self) -> _Lookup:
+        if self._lookup is None:
+            rows: dict[str, list[tuple[int, int, int]]] = {}
+            for i, g in enumerate(self.genes):
+                rows.setdefault(g.contig, []).append((g.start, i, g.end))
+            contigs = {}
+            for contig, extents in rows.items():
+                extents.sort()
+                starts, ordinals, ends = map(list, zip(*extents))
+                longest = max(e - s for s, _, e in extents)
+                contigs[contig] = _ContigIndex(starts, ends, ordinals, longest)
+            by_id = {g.gene_id: i for i, g in enumerate(self.genes)}
+            self._lookup = _Lookup(by_id, contigs)
+        return self._lookup
+
+    def ordinal(self, gene_id: str) -> int:
+        """Position of ``gene_id`` in the annotation's gene order."""
+        try:
+            return self._index().ordinals[gene_id]
+        except KeyError:
+            raise KeyError(f"no gene {gene_id!r}") from None
+
     def gene(self, gene_id: str) -> Gene:
-        for g in self.genes:
-            if g.gene_id == gene_id:
-                return g
-        raise KeyError(f"no gene {gene_id!r}")
+        return self.genes[self.ordinal(gene_id)]
 
     def genes_on(self, contig: str) -> list[Gene]:
         """Genes on one contig, sorted by start coordinate."""
-        return sorted(
-            (g for g in self.genes if g.contig == contig), key=lambda g: g.start
-        )
+        idx = self._index().contigs.get(contig)
+        return [] if idx is None else [self.genes[i] for i in idx.ordinals]
 
     def assign_position(self, contig: str, position: int) -> Gene | None:
         """Return the gene whose extent covers (contig, position), if any.
@@ -203,18 +258,32 @@ class Annotation:
         matching STAR's "ambiguous counts to neither" is handled one level
         up in :mod:`repro.align.counts`, which needs *all* hits.
         """
-        for g in self.genes_on(contig):
-            if g.start <= position < g.end:
-                return g
+        idx = self._index().contigs.get(contig)
+        if idx is None:
+            return None
+        lo = bisect_right(idx.starts, position - idx.longest)
+        hi = bisect_right(idx.starts, position, lo)
+        for row in range(lo, hi):
+            if idx.ends[row] > position:
+                return self.genes[idx.ordinals[row]]
         return None
 
     def overlapping_genes(self, region: SequenceRegion) -> list[Gene]:
-        """All genes whose extent overlaps ``region``."""
-        return [
-            g
-            for g in self.genes
-            if g.contig == region.contig and g.region.overlaps(region)
-        ]
+        """All genes whose extent overlaps ``region``, in annotation order.
+
+        Overlap is :meth:`SequenceRegion.overlaps`: only rows starting
+        before ``region.end`` and after ``region.start - longest`` can
+        qualify, so a query costs O(log genes) plus that window.
+        """
+        idx = self._index().contigs.get(region.contig)
+        if idx is None:
+            return []
+        s = region.start
+        lo = bisect_right(idx.starts, s - idx.longest)
+        hi = bisect_left(idx.starts, region.end, lo)
+        ends, ordinals = idx.ends, idx.ordinals
+        hits = sorted(ordinals[row] for row in range(lo, hi) if ends[row] > s)
+        return [self.genes[i] for i in hits]
 
     def splice_junctions(self) -> list[tuple[str, int, int]]:
         """The annotated junction database: (contig, donor_end, acceptor_start).

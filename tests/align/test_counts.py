@@ -1,6 +1,10 @@
 """GeneCounts (ReadsPerGene.out.tab) tests."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.align.counts import GeneCounts, read_counts_tab
 from repro.genome.annotation import Annotation, Exon, Gene, Strand, Transcript
@@ -110,3 +114,228 @@ class TestOutput:
         path.write_text("G1\t1\t2\n")
         with pytest.raises(ValueError):
             read_counts_tab(path)
+
+
+# -- the per-contig index against a linear-scan oracle -----------------------
+
+CONTIGS = ("1", "2", "3")
+
+
+def oracle_overlapping(ann, region):
+    """Every gene whose extent overlaps ``region``, by linear scan."""
+    return [
+        g for g in ann.genes if g.contig == region.contig and g.region.overlaps(region)
+    ]
+
+
+def oracle_assign(ann, contig, position):
+    """First covering gene by lowest start, ties in annotation order."""
+    on = sorted((g for g in ann.genes if g.contig == contig), key=lambda g: g.start)
+    return next((g for g in on if g.start <= position < g.end), None)
+
+
+def make_gene(i, contig, exons, strand):
+    gid = f"G{i}"
+    spans = [SequenceRegion(contig, s, s + n) for s, n in exons]
+    t = Transcript(
+        f"T{i}", gid, contig, strand, [Exon(r, k) for k, r in enumerate(spans)]
+    )
+    return Gene(gid, gid, contig, strand, [t])
+
+
+# small coordinates so equal starts, nesting and overlaps are common;
+# zero-length exons make zero-length gene extents
+gene_specs = st.lists(
+    st.tuples(
+        st.sampled_from(CONTIGS),
+        st.integers(0, 60),
+        st.lists(st.integers(0, 25), min_size=1, max_size=3),
+        st.sampled_from(list(Strand)),
+    ),
+    max_size=30,
+)
+
+
+def build_annotation(specs):
+    genes = []
+    for i, (contig, start, lengths, strand) in enumerate(specs):
+        exons, pos = [], start
+        for n in lengths:
+            exons.append((pos, n))
+            pos += n + 5
+        genes.append(make_gene(i, contig, exons, strand))
+    return Annotation(genes)
+
+
+# "X" is a contig no gene lies on
+regions = st.builds(
+    lambda c, s, n: SequenceRegion(c, s, s + n),
+    st.sampled_from(CONTIGS + ("X",)),
+    st.integers(0, 150),
+    st.integers(0, 30),
+)
+
+
+class TestIndexMatchesLinearScan:
+    @given(gene_specs, st.lists(regions, min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_overlapping_genes(self, specs, queries):
+        ann = build_annotation(specs)
+        for region in queries:
+            assert ann.overlapping_genes(region) == oracle_overlapping(ann, region)
+
+    @given(
+        gene_specs,
+        st.lists(
+            st.tuples(st.sampled_from(CONTIGS + ("X",)), st.integers(0, 150)),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_assign_position(self, specs, queries):
+        ann = build_annotation(specs)
+        for contig, position in queries:
+            assert ann.assign_position(contig, position) is oracle_assign(
+                ann, contig, position
+            )
+
+    @given(gene_specs)
+    @settings(max_examples=50, deadline=None)
+    def test_genes_on_and_lookup(self, specs):
+        ann = build_annotation(specs)
+        for contig in CONTIGS:
+            on = sorted(
+                (g for g in ann.genes if g.contig == contig), key=lambda g: g.start
+            )
+            assert ann.genes_on(contig) == on
+        for g in ann.genes:
+            assert ann.gene(g.gene_id) is g
+
+
+# one read: unmapped, multimapped, or unique with 1-3 blocks on one contig
+reads = st.one_of(
+    st.just("unmapped"),
+    st.just("multi"),
+    st.tuples(
+        st.sampled_from(CONTIGS + ("X",)),
+        st.lists(
+            st.tuples(st.integers(0, 150), st.integers(0, 30)), min_size=1, max_size=3
+        ),
+        st.sampled_from(list(Strand)),
+    ),
+)
+
+
+def record(gc, read):
+    if read == "unmapped":
+        gc.record_unmapped()
+    elif read == "multi":
+        gc.record_multimapped()
+    else:
+        contig, blocks, strand = read
+        gc.record_unique([SequenceRegion(contig, s, s + n) for s, n in blocks], strand)
+
+
+class TestShardPartials:
+    @given(
+        gene_specs,
+        st.lists(reads, max_size=40),
+        st.lists(st.integers(0, 40), max_size=5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_merged_partials_equal_one_accumulator(self, specs, rs, cuts):
+        ann = build_annotation(specs)
+        whole = GeneCounts(ann)
+        for read in rs:
+            record(whole, read)
+        bounds = [0, *sorted(min(c, len(rs)) for c in cuts), len(rs)]
+        merged = GeneCounts(ann)
+        for lo, hi in zip(bounds, bounds[1:]):
+            shard = GeneCounts(ann)
+            for read in rs[lo:hi]:
+                record(shard, read)
+            merged.merge_partial(shard.to_partial())
+        assert merged.to_partial() == whole.to_partial()
+        assert list(merged.to_partial().gene_counts) == list(
+            whole.to_partial().gene_counts
+        )
+        assert merged.counts == whole.counts
+        assert merged.to_tab() == whole.to_tab()
+
+        partial = whole.to_partial()
+        # non-zero genes only, in annotation order
+        nonzero = [(g, row) for g, row in whole.counts.items() if any(row.values())]
+        assert list(partial.gene_counts.items()) == nonzero
+
+    def test_foreign_gene_in_partial_rejected(self, annotation):
+        gc = GeneCounts(annotation)
+        gc.record_unique([SequenceRegion("1", 10, 20)], Strand.FORWARD)
+        partial = gc.to_partial()
+        other = Annotation([make_gene(9, "1", [(0, 10)], Strand.FORWARD)])
+        with pytest.raises(KeyError):
+            GeneCounts(other).merge_partial(partial)
+
+
+# -- the cached index stays out of pickles ------------------------------------
+
+
+class TestPickledAnnotation:
+    def count(self, ann):
+        gc = GeneCounts(ann)
+        gc.record_unique([SequenceRegion("1", 285, 295)], Strand.FORWARD)
+        gc.record_unique([SequenceRegion("1", 10, 20)], Strand.REVERSE)
+        return gc.to_tab()
+
+    def test_round_trip_counts_and_drops_index(self, annotation):
+        fresh = pickle.dumps(annotation)
+        want = self.count(annotation)  # builds the index
+        assert pickle.dumps(annotation) == fresh
+        loaded = pickle.loads(fresh)
+        assert "_lookup" not in vars(loaded)
+        assert self.count(loaded) == want
+
+    def test_pre_index_pickle_state_counts(self, annotation):
+        """An annotation restored from state holding only its genes — what
+        a cache file written before the index existed unpickles to."""
+        want = self.count(annotation)
+        old = Annotation.__new__(Annotation)
+        old.__dict__.update(genes=annotation.genes)
+        assert self.count(old) == want
+
+
+# -- scaling guard: a shard's cost follows the genes it hits ------------------
+
+
+def _forbidden(self):
+    raise AssertionError("per-read path touched a per-gene property")
+
+
+class TestScalingGuard:
+    def test_no_per_gene_work_after_first_query(self, monkeypatch):
+        genes = [
+            make_gene(i, CONTIGS[i % 3], [(i * 10, 8)], Strand.FORWARD)
+            for i in range(50_000)
+        ]
+        ann = Annotation(genes)
+        first = GeneCounts(ann)
+        first.record_unique([SequenceRegion("1", 0, 5)], Strand.FORWARD)
+
+        for attr in ("start", "end", "region"):
+            monkeypatch.setattr(Gene, attr, property(_forbidden))
+        monkeypatch.setattr(Annotation, "gene_ids", property(_forbidden))
+
+        shard = GeneCounts(ann)
+        # gene i covers [10 i, 10 i + 8) on contig CONTIGS[i % 3]
+        shard.record_unique([SequenceRegion("2", 40, 45)], Strand.FORWARD)
+        shard.record_unique(
+            [SequenceRegion("1", 30, 35), SequenceRegion("1", 60, 65)],
+            Strand.REVERSE,
+        )
+        partial = shard.to_partial()
+        assert list(partial.gene_counts) == ["G4"]
+        assert partial.n_ambiguous["unstranded"] == 1
+
+        empty = GeneCounts(ann)
+        assert empty.to_partial().gene_counts == {}
+        assert empty.hits == {}

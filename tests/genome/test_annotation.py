@@ -116,6 +116,11 @@ class TestGene:
         with pytest.raises(ValueError):
             Gene("G2", "GENE2", "1", Strand.FORWARD, [make_transcript(gid="G1")])
 
+    def test_no_transcripts_rejected(self):
+        """An empty gene has no extent: rejected up front, by name."""
+        with pytest.raises(ValueError, match="G7"):
+            Gene("G7", "GENE7", "1", Strand.FORWARD, [])
+
 
 class TestAnnotation:
     def make(self) -> Annotation:
@@ -149,6 +154,13 @@ class TestAnnotation:
         ann = self.make()
         genes = ann.genes_on("1")
         assert [g.gene_id for g in genes] == ["G1", "G2"]
+        assert ann.genes_on("2") == []
+
+    def test_ordinal(self):
+        ann = self.make()
+        assert [ann.ordinal(g) for g in ("G1", "G2")] == [0, 1]
+        with pytest.raises(KeyError):
+            ann.ordinal("G9")
 
     def test_assign_position(self):
         ann = self.make()

@@ -70,6 +70,15 @@ class TestFormat:
         path.write_text(content)
         assert len(read_gtf(path)) == 1
 
+    def test_gene_without_transcripts_rejected(self, tmp_path):
+        """A ``gene`` line with no transcripts fails at parse time, by name."""
+        path = tmp_path / "x.gtf"
+        write_gtf(self.small(), path)
+        lonely = '1\trepro\tgene\t20\t30\t.\t+\t.\tgene_id "G2"; gene_name "N2";\n'
+        path.write_text(path.read_text() + lonely)
+        with pytest.raises(ValueError, match="G2"):
+            read_gtf(path)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.gtf"
         path.write_text("1\tsrc\tgene\t1\n")
