@@ -48,6 +48,7 @@ from repro.cloud.faas import (
     PayloadTooLarge,
     TooManyRequests,
 )
+from repro.reads.fastq import PairedColumns, ReadColumns, as_columns
 
 if TYPE_CHECKING:
     from repro.align.engine import ParallelStarAligner
@@ -73,32 +74,40 @@ BACKEND_CHOICES = ("auto", "serial", "engine", "faas")
 
 @dataclass(frozen=True)
 class ReadBatch:
-    """One accession's reads: single-end records, or both mate lists."""
+    """One accession's reads as columns: single-end, or both mates.
 
-    records: list[FastqRecord]
-    mate2: list[FastqRecord] | None = None
+    Record lists are accepted and converted to columns here, once.
+    """
+
+    reads: ReadColumns
+    mate2: ReadColumns | None = None
 
     @property
     def paired(self) -> bool:
         return self.mate2 is not None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.reads)
 
     def __post_init__(self) -> None:
-        if self.mate2 is not None and len(self.mate2) != len(self.records):
-            raise ValueError("mate lists must have equal length")
+        object.__setattr__(self, "reads", as_columns(self.reads))
+        if self.mate2 is not None:
+            object.__setattr__(self, "mate2", as_columns(self.mate2))
+            if len(self.mate2) != len(self.reads):
+                raise ValueError("mate lists must have equal length")
 
 
 @dataclass
 class ReadChunkStream:
     """One accession's reads as a lazy chunk feed with a known total.
 
-    ``chunks`` yields ``list[FastqRecord]`` for single-end accessions or
-    ``(mate1_chunk, mate2_chunk)`` list pairs for paired ones;
-    ``reads_total`` comes from the SRA container header, so progress
-    records (and therefore early-stopping decisions) are identical to a
-    fully-materialized run even though records arrive incrementally.
+    ``chunks`` yields :class:`~repro.reads.fastq.ReadColumns` for
+    single-end accessions or :class:`~repro.reads.fastq.PairedColumns`
+    for paired ones (what :meth:`repro.reads.stream.SraStream.chunks`
+    produces); ``reads_total`` comes from the SRA container header, so
+    progress records (and therefore early-stopping decisions) are
+    identical to a fully-materialized run even though reads arrive
+    incrementally.
     """
 
     chunks: Iterable
@@ -106,22 +115,18 @@ class ReadChunkStream:
     paired: bool = False
 
     def records(self):
-        """Flatten single-end chunks into a lazy record iterator."""
+        """The single-end chunk feed, pulled lazily (what a single-end
+        backend consumes; the reads stay columns)."""
         if self.paired:
             raise ValueError("records() is single-end only; use materialize()")
-        for chunk in self.chunks:
-            yield from chunk
+        yield from self.chunks
 
     def materialize(self) -> ReadBatch:
         """Drain the feed into a :class:`ReadBatch` (the PE fallback)."""
         if not self.paired:
-            return ReadBatch(list(self.records()))
-        mate1: list[FastqRecord] = []
-        mate2: list[FastqRecord] = []
-        for chunk1, chunk2 in self.chunks:
-            mate1.extend(chunk1)
-            mate2.extend(chunk2)
-        return ReadBatch(mate1, mate2)
+            return ReadBatch(ReadColumns.concat(list(self.records())))
+        pairs = PairedColumns.concat(list(self.chunks))
+        return ReadBatch(pairs.mate1, pairs.mate2)
 
 
 @runtime_checkable
@@ -178,7 +183,7 @@ class SerialAlignerBackend:
         if reads.paired:
             raise ValueError("serial single-end backend got paired reads")
         return self.aligner.run(
-            reads.records, monitor=monitor, out_dir=out_dir, checkpoint=checkpoint
+            reads.reads, monitor=monitor, out_dir=out_dir, checkpoint=checkpoint
         )
 
     def align_stream(
@@ -223,7 +228,7 @@ class PairedAlignerBackend:
             raise ValueError("paired backend got single-end reads")
         assert reads.mate2 is not None
         return self.paired_aligner.run(
-            reads.records, reads.mate2, monitor=monitor, checkpoint=checkpoint
+            reads.reads, reads.mate2, monitor=monitor, checkpoint=checkpoint
         )
 
     def align_stream(
@@ -260,10 +265,10 @@ class EngineBackend:
         if reads.paired:
             assert reads.mate2 is not None
             return self.engine.run_paired(
-                reads.records, reads.mate2, monitor=monitor, checkpoint=checkpoint
+                reads.reads, reads.mate2, monitor=monitor, checkpoint=checkpoint
             )
         return self.engine.run(
-            reads.records, monitor=monitor, out_dir=out_dir, checkpoint=checkpoint
+            reads.reads, monitor=monitor, out_dir=out_dir, checkpoint=checkpoint
         )
 
     def align_stream(
@@ -385,21 +390,14 @@ class FaasAlignerBackend:
             self._paired = PairedStarAligner(self.aligner, self.paired_parameters)
         return self._paired
 
-    @staticmethod
-    def _records_bytes(records: list[FastqRecord]) -> int:
-        # sequence + qualities + id + framing: the wire-size estimate the
-        # shard sizer and the service's payload check both use
-        return sum(2 * r.length + len(r.read_id) + 8 for r in records)
-
-    def _request_bytes(self, payload, *, paired: bool) -> int:
-        if paired:
-            return self._records_bytes(payload[0]) + self._records_bytes(payload[1])
-        return self._records_bytes(payload)
-
     def _response_bytes(self, outcomes: list) -> int:
         return len(outcomes) * self.response_bytes_per_outcome
 
-    def shard_size(self, records: list[FastqRecord], mate2=None) -> int:
+    def shard_size(
+        self,
+        reads: ReadColumns | list[FastqRecord],
+        mate2: ReadColumns | list[FastqRecord] | None = None,
+    ) -> int:
         """Reads per invocation: the engine's cost-model size, capped by
         what fits the request-payload limit.
 
@@ -411,7 +409,8 @@ class FaasAlignerBackend:
         re-sharded, which is the ``cap_reshards`` metric the campaign
         reports.
         """
-        n = len(records)
+        reads = as_columns(reads)
+        n = len(reads)
         if self.batch_size is not None:
             base = self.batch_size
         elif not self.aligner.parameters.batch_align:
@@ -421,9 +420,11 @@ class FaasAlignerBackend:
             base = max(64, min(1024, per_wave))
         if not n:
             return base
-        total_bytes = self._records_bytes(records)
+        # sequence + qualities + id + framing: the wire-size estimate the
+        # shard sizer and the service's payload check both use
+        total_bytes = reads.wire_bytes()
         if mate2 is not None:
-            total_bytes += self._records_bytes(mate2)
+            total_bytes += as_columns(mate2).wire_bytes()
         avg = max(1.0, total_bytes / n)
         by_payload = max(1, int(self.limits.max_request_bytes / avg))
         return max(1, min(base, by_payload))
@@ -459,8 +460,7 @@ class FaasAlignerBackend:
             attempt += 1
             try:
                 invocation = self.function.invoke(
-                    self._request_bytes(payload, paired=paired),
-                    now=self.virtual_now,
+                    payload.wire_bytes(), now=self.virtual_now
                 )
             except PayloadTooLarge:
                 self.payload_reshards += 1
@@ -476,11 +476,9 @@ class FaasAlignerBackend:
             # it executes
             if paired:
                 value = PairedEndCodec(self._paired_aligner()).align(payload)
-                n_reads = len(payload[0])
             else:
                 value = SingleEndCodec(self.aligner).align(payload)
-                n_reads = len(payload)
-            duration = n_reads * self.seconds_per_read
+            duration = len(payload) * self.seconds_per_read
             self.virtual_now += invocation.cold_start_seconds + min(
                 duration, self.limits.max_execution_seconds
             )
@@ -507,18 +505,13 @@ class FaasAlignerBackend:
             return value
 
     def _split_shard(self, payload, *, paired: bool):
-        n = len(payload[0]) if paired else len(payload)
+        n = len(payload)
         if n <= 1:
             raise  # single read still over a limit: surface the limit error
         mid = n // 2
-        if paired:
-            left = (payload[0][:mid], payload[1][:mid])
-            right = (payload[0][mid:], payload[1][mid:])
-        else:
-            left, right = payload[:mid], payload[mid:]
         return self._merge_values(
-            self._execute_shard(left, paired=paired),
-            self._execute_shard(right, paired=paired),
+            self._execute_shard(payload[:mid], paired=paired),
+            self._execute_shard(payload[mid:], paired=paired),
         )
 
     def _merge_values(self, a, b):
@@ -556,15 +549,15 @@ class FaasAlignerBackend:
     ) -> AlignmentOutcome:
         if reads.paired:
             codec = PairedEndCodec(self._paired_aligner())
-            items = zip(reads.records, reads.mate2)
+            columns = PairedColumns(reads.reads, reads.mate2)
         else:
             codec = SingleEndCodec(self.aligner)
-            items = reads.records
+            columns = reads.reads
         return run_shards(
             codec,
-            items,
+            [columns],
             total=len(reads),
-            shard=self.shard_size(reads.records, reads.mate2),
+            shard=self.shard_size(reads.reads, reads.mate2),
             executor=lambda payloads: (
                 (payload, self._execute_shard(payload, paired=reads.paired))
                 for payload in payloads

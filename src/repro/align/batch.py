@@ -11,9 +11,10 @@ narrowing.
 This module drives whole *batches* of reads through the identical
 decision procedure with the per-symbol work hoisted into numpy:
 
-* :class:`PackedReadBatch` packs a batch (both orientations) into
-  contiguous arrays — base codes, per-segment offsets and lengths — the
-  structure-of-arrays layout every kernel below gathers from;
+* :class:`PackedReadBatch` packs a batch's base column (both
+  orientations) into contiguous arrays — base codes, per-segment offsets
+  and lengths — the structure-of-arrays layout every kernel below
+  gathers from;
 * :func:`batch_mmp` resolves all MMP queries level-by-level: one fused
   :class:`~repro.align.suffix_array.PrefixJumpTable` lookup per depth
   (vectorized base-6 encoding over the live queries), lock-step
@@ -42,10 +43,12 @@ import numpy as np
 
 from repro.align.extend import batch_ungapped_extend
 from repro.genome.alphabet import BASE_A, BASE_G, BASE_N, BASE_T, complement
+from repro.genome.model import SequenceRegion
+from repro.reads.fastq import as_columns
 
 if TYPE_CHECKING:
     from repro.align.star import ReadAlignment, StarAligner
-    from repro.reads.fastq import FastqRecord
+    from repro.reads.fastq import FastqRecord, ReadColumns
 
 __all__ = ["PackedReadBatch", "align_read_batch", "batch_mmp"]
 
@@ -95,25 +98,32 @@ class PackedReadBatch:
         return int(self.lengths.size)
 
     @classmethod
-    def pack(cls, sequences: list[np.ndarray]) -> "PackedReadBatch":
-        """Pack forward sequences plus their reverse complements."""
-        n_reads = len(sequences)
-        fwd_lengths = np.array([s.size for s in sequences], dtype=np.int64)
+    def pack(cls, bases: np.ndarray, lengths: np.ndarray) -> "PackedReadBatch":
+        """Pack forward reads plus their reverse complements.
+
+        ``bases`` holds the forward reads back to back (a
+        :class:`~repro.reads.fastq.ReadColumns` base column) and
+        ``lengths`` their lengths, so packing copies the pool once
+        instead of concatenating per-read arrays.
+        """
+        fwd_lengths = np.asarray(lengths, dtype=np.int64)
+        n_reads = int(fwd_lengths.size)
         lengths = np.concatenate([fwd_lengths, fwd_lengths])
         offsets = np.zeros(lengths.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        if n_reads and int(fwd_lengths.sum()):
-            fwd = np.concatenate(sequences).astype(np.uint8, copy=False)
-            # reverse each segment in place of a per-read [::-1]: position j
-            # of the pool maps to its segment-mirrored twin
-            starts = np.repeat(offsets[:n_reads], fwd_lengths)
-            lens = np.repeat(fwd_lengths, fwd_lengths)
-            mirror = 2 * starts + lens - 1 - np.arange(fwd.size, dtype=np.int64)
-            rev = complement(fwd)[mirror]
-            bases = np.concatenate([fwd, rev])
-        else:
-            bases = np.zeros(0, dtype=np.uint8)
-        return cls(bases=bases, offsets=offsets, lengths=lengths, n_reads=n_reads)
+        fwd = np.asarray(bases, dtype=np.uint8)
+        # reverse each segment in place of a per-read [::-1]: position j
+        # of the pool maps to its segment-mirrored twin
+        starts = np.repeat(offsets[:n_reads], fwd_lengths)
+        lens = np.repeat(fwd_lengths, fwd_lengths)
+        mirror = 2 * starts + lens - 1 - np.arange(fwd.size, dtype=np.int64)
+        rev = complement(fwd)[mirror]
+        return cls(
+            bases=np.concatenate([fwd, rev]),
+            offsets=offsets,
+            lengths=lengths,
+            n_reads=n_reads,
+        )
 
 
 # --------------------------------------------------------------------------
@@ -507,37 +517,41 @@ def _batch_stitch(
 
 
 def align_read_batch(
-    aligner: "StarAligner", records: list["FastqRecord"]
+    aligner: "StarAligner", reads: "ReadColumns | list[FastqRecord]"
 ) -> list["ReadAlignment"]:
     """Align a batch of reads through the vectorized core.
 
-    Returns one :class:`~repro.align.star.ReadAlignment` per record, in
+    Returns one :class:`~repro.align.star.ReadAlignment` per read, in
     order, each identical to what ``aligner.align_read`` produces for
-    the same read.
+    the same read.  A record list is converted to columns on entry.
     """
-    from repro.align.star import AlignmentStatus, ReadAlignment, _Candidate
+    from repro.align.star import (
+        AlignmentStatus,
+        ReadAlignment,
+        _Candidate,
+        read_outcome,
+    )
 
+    reads = as_columns(reads)
     index = aligner.index
     ctx = index.search_context
     params = aligner.parameters
     scoring = params.scoring
 
-    out: list[ReadAlignment | None] = [None] * len(records)
-    live: list[int] = []
-    sequences: list[np.ndarray] = []
-    for r, record in enumerate(records):
-        if record.sequence.size == 0:
-            # zero-length reads can never seed (same early return as
-            # align_read)
-            out[r] = ReadAlignment(record.read_id, AlignmentStatus.UNMAPPED)
-        else:
-            live.append(r)
-            sequences.append(np.asarray(record.sequence, dtype=np.uint8))
+    ids = reads.ids
+    read_lengths = reads.lengths
+    out: list[ReadAlignment | None] = [None] * len(ids)
+    for r in np.flatnonzero(read_lengths == 0).tolist():
+        # zero-length reads can never seed (same early return as
+        # align_read)
+        out[r] = ReadAlignment(ids[r], AlignmentStatus.UNMAPPED)
+    live = np.flatnonzero(read_lengths).tolist()
     n_live = len(live)
     if n_live == 0:
         return out  # type: ignore[return-value]
 
-    batch = PackedReadBatch.pack(sequences)
+    # zero-length reads hold no bases, so the base column is the live pool
+    batch = PackedReadBatch.pack(reads.bases, read_lengths[live])
     bases = batch.bases
     offsets = batch.offsets[:-1]
     lengths = batch.lengths
@@ -737,8 +751,33 @@ def align_read_batch(
                     )
 
     # -- classification (shared with the per-read path) ----------------------
-    for i, r in enumerate(live):
-        out[r] = aligner._classify(
-            records[r].read_id, cands_by_q[i], cands_by_q[n_live + i]
+    choose = aligner._choose
+    choices = [
+        choose(cands_by_q[i], cands_by_q[n_live + i]) for i in range(n_live)
+    ]
+    # every chosen block's contig coordinates from one searchsorted
+    spans = np.array(
+        [
+            span
+            for _, _, chosen, _ in choices
+            if chosen is not None
+            for span in chosen.blocks
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    contig = _contigs_of(index, spans[:, 0])
+    local = spans[:, 0] - np.asarray(index.offsets, dtype=np.int64)[contig]
+    local_end = local + (spans[:, 1] - spans[:, 0])
+    names = index.names
+    regions = [
+        SequenceRegion(names[c], start, end)
+        for c, start, end in zip(
+            contig.tolist(), local.tolist(), local_end.tolist()
         )
+    ]
+    k = 0
+    for r, choice in zip(live, choices):
+        n_blocks = len(choice[2].blocks) if choice[2] is not None else 0
+        out[r] = read_outcome(ids[r], choice, tuple(regions[k : k + n_blocks]))
+        k += n_blocks
     return out  # type: ignore[return-value]

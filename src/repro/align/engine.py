@@ -54,6 +54,7 @@ from repro.align.runner import (
     PairedEndCodec,
     ShardValue,
     SingleEndCodec,
+    column_feed,
     run_shards,
 )
 from repro.align.star import (
@@ -64,7 +65,7 @@ from repro.align.star import (
 )
 from repro.align.suffix_array import PrefixJumpTable, SeedSearchStats
 from repro.genome.annotation import Annotation
-from repro.reads.fastq import FastqRecord
+from repro.reads.fastq import FastqRecord, PairedColumns, ReadColumns, as_columns
 
 __all__ = [
     "EngineHealth",
@@ -242,16 +243,14 @@ def _init_worker(
     _WORKER["handles"] = handles
 
 
-def _align_batch(records: list[FastqRecord]) -> ShardValue:
-    """Pool entry point: align one single-end batch with the worker aligner."""
-    return _WORKER["se"].align(records)
+def _align_batch(reads: ReadColumns) -> ShardValue:
+    """Pool entry point: align one single-end shard with the worker aligner."""
+    return _WORKER["se"].align(reads)
 
 
-def _align_batch_paired(
-    batch: tuple[list[FastqRecord], list[FastqRecord]],
-) -> ShardValue:
-    """Pool entry point: align one paired batch with the worker aligner."""
-    return _WORKER["pe"].align(batch)
+def _align_batch_paired(pairs: PairedColumns) -> ShardValue:
+    """Pool entry point: align one paired shard with the worker aligner."""
+    return _WORKER["pe"].align(pairs)
 
 
 # --------------------------------------------------------------------------
@@ -563,7 +562,7 @@ class ParallelStarAligner:
 
     def run(
         self,
-        records: Iterable[FastqRecord],
+        reads: ReadColumns | Iterable,
         *,
         reads_total: int | None = None,
         monitor: ProgressMonitorHook | None = None,
@@ -573,19 +572,18 @@ class ParallelStarAligner:
     ) -> StarRunResult:
         """Parallel equivalent of :meth:`StarAligner.run` (same signature).
 
-        ``records`` may be a lazy iterable (e.g. a streamed chunk feed)
-        when ``reads_total`` is given — shards are pulled as they become
-        available and results stay byte-identical to the list path.
-        ``checkpoint`` works as in :func:`repro.align.runner.run_shards`.
+        ``reads`` may be a lazy feed of column chunks (e.g. a streamed
+        download) when ``reads_total`` is given — shards are pulled as
+        they become available and results stay byte-identical to the
+        whole-batch path.  ``checkpoint`` works as in
+        :func:`repro.align.runner.run_shards`.
         """
-        if reads_total is None:
-            records = list(records)
-            reads_total = len(records)
+        feed, total = column_feed(reads, reads_total)
         return run_shards(
             SingleEndCodec(self._local_aligner()),
-            records,
-            total=reads_total,
-            shard=self._shard_size(reads_total),
+            feed,
+            total=total,
+            shard=self._shard_size(total),
             executor=lambda payloads: self._ordered_results(
                 _align_batch, payloads
             ),
@@ -598,21 +596,20 @@ class ParallelStarAligner:
 
     def run_paired(
         self,
-        mate1: list[FastqRecord],
-        mate2: list[FastqRecord],
+        mate1: ReadColumns | list[FastqRecord],
+        mate2: ReadColumns | list[FastqRecord],
         *,
         monitor: ProgressMonitorHook | None = None,
         clock: Callable[[], float] = time.monotonic,
         checkpoint=None,
     ) -> PairedRunResult:
         """Parallel equivalent of :meth:`PairedStarAligner.run`."""
-        if len(mate1) != len(mate2):
-            raise ValueError("mate lists must have equal length")
+        pairs = PairedColumns(as_columns(mate1), as_columns(mate2))
         return run_shards(
             PairedEndCodec(self._local_paired_aligner()),
-            zip(mate1, mate2),
-            total=len(mate1),
-            shard=self._shard_size(len(mate1)),
+            [pairs],
+            total=len(pairs),
+            shard=self._shard_size(len(pairs)),
             executor=lambda payloads: self._ordered_results(
                 _align_batch_paired, payloads
             ),

@@ -25,7 +25,7 @@ from repro.align.star import (
     StarAligner,
 )
 from repro.genome.annotation import Strand
-from repro.reads.fastq import FastqRecord
+from repro.reads.fastq import FastqRecord, PairedColumns, ReadColumns, as_columns
 from repro.util.validation import check_positive
 
 
@@ -182,14 +182,14 @@ class PairedStarAligner:
         """Align both mates and pair them."""
         m1 = self.aligner.align_read(record1)
         m2 = self.aligner.align_read(record2)
-        return self._pair_outcome(record1, m1, m2)
+        return self._pair_outcome(record1.read_id, m1, m2)
 
     def _pair_outcome(
-        self, record1: FastqRecord, m1: ReadAlignment, m2: ReadAlignment
+        self, mate1_id: str, m1: ReadAlignment, m2: ReadAlignment
     ) -> PairedOutcome:
         """Pair two already-aligned mate outcomes."""
         status, tlen = self.classify_pair(m1, m2)
-        pair_id = record1.read_id.rsplit("/", 1)[0]
+        pair_id = mate1_id.rsplit("/", 1)[0]
         return PairedOutcome(
             pair_id=pair_id, status=status, mate1=m1, mate2=m2,
             template_length=tlen,
@@ -197,8 +197,8 @@ class PairedStarAligner:
 
     def run(
         self,
-        mate1: list[FastqRecord],
-        mate2: list[FastqRecord],
+        mate1: ReadColumns | list[FastqRecord],
+        mate2: ReadColumns | list[FastqRecord],
         *,
         monitor: Callable[[ProgressRecord], bool] | None = None,
         clock: Callable[[], float] = time.monotonic,
@@ -208,18 +208,18 @@ class PairedStarAligner:
 
         Progress counts *pairs*; the monitor hook and abort semantics match
         the single-end driver, so :class:`~repro.core.early_stopping.
-        EarlyStopMonitor` plugs in unchanged.  Both mate lists go through
-        the batch core in ``align_batch_size`` groups; ``checkpoint`` turns
-        on shard checkpoints (see :func:`repro.align.runner.run_shards`).
+        EarlyStopMonitor` plugs in unchanged.  Both mates (columns, or
+        record lists converted on entry) go through the batch core in
+        ``align_batch_size`` groups; ``checkpoint`` turns on shard
+        checkpoints (see :func:`repro.align.runner.run_shards`).
         """
         from repro.align.runner import PairedEndCodec, run_shards
 
-        if len(mate1) != len(mate2):
-            raise ValueError("mate lists must have equal length")
+        pairs = PairedColumns(as_columns(mate1), as_columns(mate2))
         return run_shards(
             PairedEndCodec(self),
-            zip(mate1, mate2),
-            total=len(mate1),
+            [pairs],
+            total=len(pairs),
             shard=self.aligner.parameters.align_batch_size,
             hold_back=False,
             monitor=monitor,

@@ -1,6 +1,10 @@
 """The one shard runner behind every whole-run alignment.
 
-A run splits its reads into shards, computes each shard with a pure
+A run's reads arrive as column chunks
+(:class:`~repro.reads.fastq.ReadColumns`, or
+:class:`~repro.reads.fastq.PairedColumns` for pairs).  The runner cuts
+them into shards — column slices, which are also the payloads executors
+ship — computes each shard with a pure
 per-shard function, and merges the shard values strictly in read order
 into one :class:`~repro.align.star.StarRunResult` (single-end) or
 :class:`~repro.align.paired.PairedRunResult` (paired-end).  The merge is
@@ -11,9 +15,9 @@ snapshot.  :func:`run_shards` owns all of that once, together with the
 shard schedule and shard checkpoints.  Two things vary per call:
 
 * the **codec** (:class:`SingleEndCodec` / :class:`PairedEndCodec`)
-  knows the library layout: how shard items pack into a payload, the
-  pure per-shard function, the status tally and GeneCounts rules, and
-  how the final statistics and the result are built;
+  knows the library layout: the pure per-shard function, the status
+  tally and GeneCounts rules, and how the final statistics and the
+  result are built;
 * the **executor** decides where shards run.  It maps an iterable of
   payloads to ``(payload, value)`` pairs in payload order: inline (the
   default, a lazy map in this process), the engine's worker pool
@@ -27,7 +31,6 @@ byte-identical whichever executor ran the shards.
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
@@ -48,9 +51,9 @@ from repro.align.star import (
     StarAligner,
     StarRunResult,
 )
-from repro.reads.fastq import FastqRecord
+from repro.reads.fastq import PairedColumns, ReadColumns, as_columns
 
-__all__ = ["PairedEndCodec", "SingleEndCodec", "run_shards"]
+__all__ = ["PairedEndCodec", "SingleEndCodec", "column_feed", "run_shards"]
 
 #: One shard's value: outcomes, its GeneCounts partial (None without
 #: quantification) and its seed-search counter delta.
@@ -90,11 +93,33 @@ def _shard_bounds(total: int, shard: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _iter_shards(
-    records: Iterable, shard: int, *, hold_back: bool = True
-) -> Iterator[list]:
-    """Lazily shard any record iterable, merging a degenerate tail.
+def _regroup(chunks: Iterable, size: int) -> Iterator:
+    """Re-cut a feed of column chunks into ``size``-read groups (the last
+    may be short), pulling no chunk before its reads are needed."""
+    parts: list = []
+    have = 0
+    for chunk in chunks:
+        start = 0
+        while start < len(chunk):
+            take = min(size - have, len(chunk) - start)
+            parts.append(chunk[start : start + take])
+            have += take
+            start += take
+            if have == size:
+                yield type(chunk).concat(parts)
+                parts, have = [], 0
+    if have:
+        yield type(parts[0]).concat(parts)
 
+
+def _iter_shards(
+    chunks: Iterable, shard: int, *, hold_back: bool = True
+) -> Iterator:
+    """Lazily shard a feed of column chunks, merging a degenerate tail.
+
+    Chunks (:class:`~repro.reads.fastq.ReadColumns`, or
+    :class:`~repro.reads.fastq.PairedColumns` for pairs) are sliced and
+    joined into ``shard``-read column shards whatever their own sizes.
     One full shard is held back so the final short tail (when smaller
     than :func:`_tail_floor`) can be merged into it — the streaming
     equivalent of :func:`_shard_bounds`, pulling no more than one shard
@@ -102,26 +127,34 @@ def _iter_shards(
     ``shard``-sized groups instead, pulling nothing ahead: the inline
     executor aligns each group as soon as its reads arrive.
     """
-    it = iter(records)
+    groups = _regroup(chunks, shard)
     if not hold_back:
-        while group := list(itertools.islice(it, shard)):
-            yield group
+        yield from groups
         return
-    held = list(itertools.islice(it, shard))
-    if not held:
+    held = next(groups, None)
+    if held is None:
         return
-    while True:
-        nxt = list(itertools.islice(it, shard))
-        if not nxt:
-            yield held
-            return
+    for nxt in groups:
         if len(nxt) < _tail_floor(shard):
-            # short tail implies the iterable is exhausted
-            held.extend(nxt)
-            yield held
+            # a short group is the last one
+            yield type(held).concat([held, nxt])
             return
         yield held
         held = nxt
+    yield held
+
+
+def column_feed(reads, total: int | None) -> tuple[Iterable, int]:
+    """A run's reads as the runner's chunk feed, with the read total.
+
+    Without ``total``, ``reads`` is one batch — columns, or a record
+    list converted here, once.  With it, ``reads`` is already a lazy feed
+    of column chunks (a streamed download) and passes through untouched.
+    """
+    if total is not None:
+        return reads, total
+    reads = as_columns(reads)
+    return [reads], len(reads)
 
 
 # --------------------------------------------------------------------------
@@ -171,7 +204,7 @@ class _Codec:
 
 
 class SingleEndCodec(_Codec):
-    """Single-end layout: shard items are :class:`FastqRecord` objects."""
+    """Single-end layout: shards are :class:`ReadColumns`."""
 
     def __init__(self, aligner: StarAligner) -> None:
         params = aligner.parameters
@@ -179,14 +212,10 @@ class SingleEndCodec(_Codec):
         self.unique = self.multi = self.too_many = self.unmapped = 0
         self.spliced = self.mismatch_bases = self.aligned_bases = 0
 
-    @staticmethod
-    def pack(records: list[FastqRecord]) -> list[FastqRecord]:
-        return records
-
-    def _outcomes(self, records: list[FastqRecord]) -> list[ReadAlignment]:
+    def _outcomes(self, reads: ReadColumns) -> list[ReadAlignment]:
         # the vectorized batch core, or the per-read oracle when
         # StarParameters.batch_align is off
-        return self.aligner.align_batch(records)
+        return self.aligner.align_batch(reads)
 
     @staticmethod
     def count(counts: GeneCounts, outcome: ReadAlignment) -> None:
@@ -201,13 +230,15 @@ class SingleEndCodec(_Codec):
         else:
             counts.record_unmapped()
 
-    def tally(self, record: FastqRecord, outcome: ReadAlignment) -> None:
+    def tally(self, outcome: ReadAlignment) -> None:
         status = outcome.status
         if status is AlignmentStatus.UNIQUE:
             self.unique += 1
             self.spliced += outcome.spliced
             self.mismatch_bases += outcome.mismatches
-            self.aligned_bases += record.length
+            # the blocks tile the read (whole, or prefix + remainder), so
+            # their lengths sum to the read length
+            self.aligned_bases += sum(b.end - b.start for b in outcome.blocks)
         elif status is AlignmentStatus.MULTIMAPPED:
             self.multi += 1
         elif status is AlignmentStatus.TOO_MANY_LOCI:
@@ -239,7 +270,7 @@ class SingleEndCodec(_Codec):
 
 
 class PairedEndCodec(_Codec):
-    """Paired layout: shard items are ``(mate1, mate2)`` record pairs.
+    """Paired layout: shards are :class:`PairedColumns`.
 
     Progress counts pairs.  Paired runs keep their results in memory, so
     ``out_dir`` is ignored.
@@ -254,18 +285,14 @@ class PairedEndCodec(_Codec):
         self.proper = self.one_mate = self.discordant = 0
         self.multi = self.unmapped = self.spliced = 0
 
-    @staticmethod
-    def pack(pairs: list[tuple[FastqRecord, FastqRecord]]):
-        return [p[0] for p in pairs], [p[1] for p in pairs]
-
-    def _outcomes(self, batch) -> list[PairedOutcome]:
-        # both mate lists go through the batch core whole, then pairing
+    def _outcomes(self, pairs: PairedColumns) -> list[PairedOutcome]:
+        # both mate columns go through the batch core whole, then pairing
         # runs per pair
-        mates1 = self.aligner.align_batch(batch[0])
-        mates2 = self.aligner.align_batch(batch[1])
+        mates1 = self.aligner.align_batch(pairs.mate1)
+        mates2 = self.aligner.align_batch(pairs.mate2)
         return [
-            self.paired._pair_outcome(r1, m1, m2)
-            for r1, m1, m2 in zip(batch[0], mates1, mates2)
+            self.paired._pair_outcome(rid, m1, m2)
+            for rid, m1, m2 in zip(pairs.mate1.ids, mates1, mates2)
         ]
 
     @staticmethod
@@ -286,7 +313,7 @@ class PairedEndCodec(_Codec):
         else:
             counts.record_unmapped()
 
-    def tally(self, _pair, outcome: PairedOutcome) -> None:
+    def tally(self, outcome: PairedOutcome) -> None:
         status = outcome.status
         if status is PairStatus.PROPER_PAIR:
             self.proper += 1
@@ -325,37 +352,37 @@ def _inline(align: Callable[[object], ShardValue]) -> Executor:
     return lambda payloads: ((payload, align(payload)) for payload in payloads)
 
 
-def _in_order(shards: Iterator[list], pack, execute: Executor, checkpoint):
-    """Yield ``(span, items, value, replayed)`` for every shard, in order.
+def _in_order(shards: Iterator, execute: Executor, checkpoint):
+    """Yield ``(span, value, replayed)`` for every shard, in order.
 
     Shards the checkpoint already holds are served from it; only the
-    rest are packed and handed to ``execute``.  The executor pulls the
-    schedule itself, as far ahead as it likes, so ``pending`` queues what
-    it has pulled until the merge reaches it.
+    rest are handed to ``execute`` (a shard's columns are its payload).
+    The executor pulls the schedule itself, as far ahead as it likes, so
+    ``pending`` queues what it has pulled until the merge reaches it.
     """
     pending: deque = deque()
 
     def live_payloads():
         start = 0
-        for items in shards:
-            span = (start, start + len(items))
+        for reads in shards:
+            span = (start, start + len(reads))
             start = span[1]
             hit = checkpoint.load(*span) if checkpoint is not None else None
-            pending.append((span, items, hit))
+            pending.append((span, hit))
             if hit is None:
-                yield pack(items)
+                yield reads
 
     live = execute(live_payloads())
     try:
         for _payload, value in live:
             # cached shards ahead of this live one merge first
-            while pending[0][2] is not None:
-                span, items, hit = pending.popleft()
-                yield span, items, hit, True
-            span, items, _ = pending.popleft()
-            yield span, items, value, False
-        for span, items, hit in pending:  # trailing cached shards
-            yield span, items, hit, True
+            while pending[0][1] is not None:
+                span, hit = pending.popleft()
+                yield span, hit, True
+            span, _ = pending.popleft()
+            yield span, value, False
+        for span, hit in pending:  # trailing cached shards
+            yield span, hit, True
     finally:
         # close now, so the engine's end-of-run bookkeeping runs before
         # the run returns rather than at garbage collection
@@ -364,7 +391,7 @@ def _in_order(shards: Iterator[list], pack, execute: Executor, checkpoint):
 
 def run_shards(
     codec: SingleEndCodec | PairedEndCodec,
-    items: Iterable,
+    chunks: Iterable,
     *,
     total: int,
     shard: int,
@@ -376,12 +403,13 @@ def run_shards(
     health=None,
     out_dir: Path | str | None = None,
 ):
-    """Align ``items`` shard by shard and merge them into one run result.
+    """Align ``chunks`` shard by shard and merge them into one run result.
 
-    ``items`` (records, or mate pairs) may be lazy; ``total`` is the read
-    count progress records report.  Shards are ``shard`` items long (see
-    :func:`_iter_shards` for ``hold_back``) and run on ``executor``
-    (inline when None).
+    ``chunks`` is a feed of column chunks (:class:`ReadColumns`, or
+    :class:`PairedColumns` for pairs; see :func:`column_feed`) and may be
+    lazy; ``total`` is the read count progress records report.  Shards
+    are ``shard`` reads long (see :func:`_iter_shards` for
+    ``hold_back``) and run on ``executor`` (inline when None).
 
     The monitor sees every progress snapshot in read order; returning
     False aborts the run at that read — the rest of the shard is
@@ -416,22 +444,21 @@ def run_shards(
         return monitor is not None and not monitor(record)
 
     merged = _in_order(
-        _iter_shards(items, shard, hold_back=hold_back),
-        codec.pack,
+        _iter_shards(chunks, shard, hold_back=hold_back),
         executor if executor is not None else _inline(codec.align),
         checkpoint,
     )
     try:
-        for span, shard_items, value, replayed in merged:
+        for span, value, replayed in merged:
             shard_outcomes, partial, seed_stats = value
             if health is not None:
                 health.seed_search.merge(seed_stats)
                 if codec.batch_align:
                     health.batch_core_batches += 1
             consumed = 0
-            for item, outcome in zip(shard_items, shard_outcomes):
+            for outcome in shard_outcomes:
                 outcomes.append(outcome)
-                codec.tally(item, outcome)
+                codec.tally(outcome)
                 consumed += 1
                 if len(outcomes) % every == 0 and report():
                     aborted = True

@@ -15,6 +15,7 @@ import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from repro.align.splice import (
 from repro.genome.alphabet import reverse_complement
 from repro.genome.annotation import Strand
 from repro.genome.model import SequenceRegion
-from repro.reads.fastq import FastqRecord
+from repro.reads.fastq import FastqRecord, ReadColumns
 
 
 class AlignmentStatus(enum.Enum):
@@ -99,15 +100,39 @@ class ReadAlignment:
     spliced: bool = False
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    """Internal: one scored placement of one read orientation."""
+class _Candidate(NamedTuple):
+    """Internal: one scored placement of one read orientation (a named
+    tuple: the batch core builds one per candidate)."""
 
     score: int
     genome_start: int
     mismatches: int
     blocks: tuple[tuple[int, int], ...]  # absolute (start, end) pairs
     spliced: bool
+
+
+#: ``(status, strand, chosen, n_loci)``, see :meth:`StarAligner._choose`
+Choice = tuple[AlignmentStatus, Strand | None, _Candidate | None, int]
+
+
+def read_outcome(
+    read_id: str, choice: Choice, blocks: tuple[SequenceRegion, ...]
+) -> ReadAlignment:
+    """Materialize a chosen placement; ``blocks`` are its blocks in contig
+    coordinates."""
+    status, strand, chosen, n_loci = choice
+    if chosen is None:
+        return ReadAlignment(read_id, status, n_loci=n_loci)
+    return ReadAlignment(
+        read_id=read_id,
+        status=status,
+        strand=strand,
+        score=chosen.score,
+        n_loci=n_loci,
+        mismatches=chosen.mismatches,
+        blocks=blocks,
+        spliced=chosen.spliced,
+    )
 
 
 class RunAborted(Exception):
@@ -188,18 +213,23 @@ class StarAligner:
         rev_cands = self._align_oriented(rev)
         return self._classify(record.read_id, fwd_cands, rev_cands)
 
-    def align_batch(self, records: list[FastqRecord]) -> list[ReadAlignment]:
-        """Align a list of reads; uses the batch core when enabled.
+    def align_batch(
+        self, reads: ReadColumns | list[FastqRecord]
+    ) -> list[ReadAlignment]:
+        """Align a batch of reads; uses the batch core when enabled.
 
         Dispatching whole batches amortizes per-read Python overhead into
         vectorized kernels (see :mod:`repro.align.batch`); results are
-        bit-identical to mapping :meth:`align_read` over ``records``.
+        bit-identical to mapping :meth:`align_read` over the reads, which
+        is what runs (on records) when ``batch_align`` is off.
         """
         if self.parameters.batch_align:
             from repro.align.batch import align_read_batch
 
-            return align_read_batch(self, records)
-        return [self.align_read(record) for record in records]
+            return align_read_batch(self, reads)
+        if isinstance(reads, ReadColumns):
+            reads = reads.records()
+        return [self.align_read(record) for record in reads]
 
     def _classify(
         self,
@@ -207,9 +237,27 @@ class StarAligner:
         fwd_cands: list[_Candidate],
         rev_cands: list[_Candidate],
     ) -> ReadAlignment:
-        """Classify one read's candidate sets per STAR's rules."""
+        """Classify one read's candidate sets (the per-read path)."""
+        choice = self._choose(fwd_cands, rev_cands)
+        chosen = choice[2]
+        blocks = []
+        if chosen is not None:
+            for start, end in chosen.blocks:
+                contig, local = self.index.to_contig_coords(start)
+                blocks.append(SequenceRegion(contig, local, local + (end - start)))
+        return read_outcome(read_id, choice, tuple(blocks))
+
+    def _choose(
+        self, fwd_cands: list[_Candidate], rev_cands: list[_Candidate]
+    ) -> Choice:
+        """Pick a read's reported placement per STAR's rules.
+
+        Shared by the per-read and batch paths.  Returns ``(status,
+        strand, chosen, n_loci)``; ``chosen`` is None when the read is
+        unmapped or maps to too many loci.
+        """
         if not fwd_cands and not rev_cands:
-            return ReadAlignment(read_id, AlignmentStatus.UNMAPPED)
+            return AlignmentStatus.UNMAPPED, None, None, 0
         if (
             len(fwd_cands) + len(rev_cands) == 1
             and self.parameters.multimap_nmax >= 1
@@ -219,16 +267,14 @@ class StarAligner:
             # classification time on typical unique-hit workloads
             chosen = fwd_cands[0] if fwd_cands else rev_cands[0]
             if chosen.score < 0:
-                return ReadAlignment(read_id, AlignmentStatus.UNMAPPED)
+                return AlignmentStatus.UNMAPPED, None, None, 0
             strand = Strand.FORWARD if fwd_cands else Strand.REVERSE
-            return self._finish(
-                read_id, AlignmentStatus.UNIQUE, strand, chosen, 1
-            )
+            return AlignmentStatus.UNIQUE, strand, chosen, 1
         best_score = -1
         for cand in fwd_cands + rev_cands:
             best_score = max(best_score, cand.score)
         if best_score < 0:
-            return ReadAlignment(read_id, AlignmentStatus.UNMAPPED)
+            return AlignmentStatus.UNMAPPED, None, None, 0
 
         best_fwd = [c for c in fwd_cands if c.score == best_score]
         best_rev = [c for c in rev_cands if c.score == best_score]
@@ -238,9 +284,7 @@ class StarAligner:
         }
         n_loci = len(loci)
         if n_loci > self.parameters.multimap_nmax:
-            return ReadAlignment(
-                read_id, AlignmentStatus.TOO_MANY_LOCI, n_loci=n_loci
-            )
+            return AlignmentStatus.TOO_MANY_LOCI, None, None, n_loci
         status = (
             AlignmentStatus.UNIQUE if n_loci == 1 else AlignmentStatus.MULTIMAPPED
         )
@@ -248,31 +292,7 @@ class StarAligner:
             best_fwd + best_rev, key=lambda c: (c.mismatches, c.genome_start)
         )
         strand = Strand.FORWARD if chosen in best_fwd else Strand.REVERSE
-        return self._finish(read_id, status, strand, chosen, n_loci)
-
-    def _finish(
-        self,
-        read_id: str,
-        status: AlignmentStatus,
-        strand: Strand,
-        chosen: _Candidate,
-        n_loci: int,
-    ) -> ReadAlignment:
-        """Materialize the chosen candidate into a ReadAlignment."""
-        blocks = []
-        for start, end in chosen.blocks:
-            contig, local = self.index.to_contig_coords(start)
-            blocks.append(SequenceRegion(contig, local, local + (end - start)))
-        return ReadAlignment(
-            read_id=read_id,
-            status=status,
-            strand=strand,
-            score=chosen.score,
-            n_loci=n_loci,
-            mismatches=chosen.mismatches,
-            blocks=tuple(blocks),
-            spliced=chosen.spliced,
-        )
+        return status, strand, chosen, n_loci
 
     def _align_oriented(self, read: np.ndarray) -> list[_Candidate]:
         """All acceptable placements of one read orientation."""
@@ -377,7 +397,7 @@ class StarAligner:
 
     def run(
         self,
-        records: Iterable[FastqRecord],
+        reads: ReadColumns | Iterable,
         *,
         reads_total: int | None = None,
         monitor: ProgressMonitorHook | None = None,
@@ -385,7 +405,7 @@ class StarAligner:
         clock: Callable[[], float] = time.monotonic,
         checkpoint=None,
     ) -> StarRunResult:
-        """Align a stream of reads, reporting progress and honouring a monitor.
+        """Align a run's reads, reporting progress and honouring a monitor.
 
         ``monitor`` receives every :class:`ProgressRecord`; returning False
         aborts the run (the early-stopping integration point).  Partial
@@ -393,21 +413,20 @@ class StarAligner:
         written out — matching how the paper's pipeline salvages statistics
         from terminated runs.
 
-        When ``reads_total`` is given, ``records`` may be a lazy iterable
-        (e.g. a streamed chunk feed): reads are pulled as consumed, one
-        ``align_batch_size`` group at a time, instead of materialized up
-        front, with byte-identical results.  ``checkpoint`` turns on
-        shard checkpoints (see :func:`repro.align.runner.run_shards`).
+        ``reads`` is a :class:`~repro.reads.fastq.ReadColumns` or a list
+        of records.  When ``reads_total`` is given, it is instead a lazy
+        feed of column chunks (e.g. a streamed download): reads are pulled
+        as consumed, one ``align_batch_size`` group at a time, with
+        byte-identical results.  ``checkpoint`` turns on shard
+        checkpoints (see :func:`repro.align.runner.run_shards`).
         """
-        from repro.align.runner import SingleEndCodec, run_shards
+        from repro.align.runner import SingleEndCodec, column_feed, run_shards
 
-        if reads_total is None:
-            records = list(records)
-            reads_total = len(records)
+        feed, total = column_feed(reads, reads_total)
         return run_shards(
             SingleEndCodec(self),
-            records,
-            total=reads_total,
+            feed,
+            total=total,
             shard=self.parameters.align_batch_size,
             hold_back=False,
             monitor=monitor,

@@ -35,8 +35,7 @@ from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 from repro.align.backend import ReadBatch, ReadChunkStream, resolve_backend
 from repro.core.early_stopping import EarlyStopMonitor
 from repro.quant.deseq2 import estimate_size_factors, normalize_counts
-from repro.reads.fastq import iter_fastq
-from repro.reads.sra import fasterq_dump, prefetch
+from repro.reads.sra import prefetch, run_fasterq_dump
 from repro.reads.trim import ReadTrimmer
 
 if TYPE_CHECKING:
@@ -149,33 +148,30 @@ class FasterqDumpStage:
         """No setup needed."""
 
     def run(self, ctx: StageContext) -> None:
-        """Dump FASTQ file(s) next to the container."""
+        """Dump FASTQ file(s) next to the container and hand the decoded
+        reads to the align stage."""
         cfg = ctx.pipeline.config
         assert ctx.sra_path is not None, "prefetch must run first"
-        if ctx.paired:
-            from repro.reads.paired import fasterq_dump_paired
-
-            ctx.fastq_path, ctx.fastq_path_2 = fasterq_dump_paired(
-                ctx.sra_path, ctx.work, fault_plan=cfg.fault_plan
-            )
-        else:
-            ctx.fastq_path = fasterq_dump(
-                ctx.sra_path, ctx.work, fault_plan=cfg.fault_plan
-            )
-            ctx.fastq_path_2 = None
-        ctx.state["fastq_bytes"] = ctx.fastq_path.stat().st_size + (
-            ctx.fastq_path_2.stat().st_size
-            if ctx.fastq_path_2 is not None
-            else 0
+        dump = run_fasterq_dump(ctx.sra_path, ctx.work, fault_plan=cfg.fault_plan)
+        ctx.fastq_path = dump.paths[0]
+        ctx.fastq_path_2 = dump.paths[1] if len(dump.paths) > 1 else None
+        ctx.reads = (
+            ReadBatch(dump.reads.mate1, dump.reads.mate2)
+            if ctx.paired
+            else ReadBatch(dump.reads)
         )
+        ctx.state["fastq_bytes"] = sum(p.stat().st_size for p in dump.paths)
 
 
 class AlignStage:
     """Step 3: STAR alignment through the resolved backend.
 
-    ``prepare`` loads/trims reads (unless the streaming runner already
-    attached a :class:`~repro.align.backend.ReadChunkStream` to
-    ``ctx.reads``), consumes any scripted ``engine_worker`` fault, and
+    The reads are already on ``ctx.reads``: a
+    :class:`~repro.align.backend.ReadBatch` of the columns the
+    ``fasterq-dump`` stage decoded, or the streaming runner's
+    :class:`~repro.align.backend.ReadChunkStream`.  ``prepare`` trims
+    them when configured (single-end batches only; trimming works on
+    records), consumes any scripted ``engine_worker`` fault, and
     resolves the backend.  ``run`` is retry-safe: the scripted ``align``
     fault check fires before any read is consumed, and the stateful
     early-stop monitor is rebuilt per attempt so a retried alignment
@@ -187,22 +183,14 @@ class AlignStage:
     timing_key = "star"
 
     def prepare(self, ctx: StageContext) -> None:
-        """Load reads, arm chaos faults, resolve the backend."""
+        """Trim reads if asked, arm chaos faults, resolve the backend."""
         pipeline = ctx.pipeline
         cfg = pipeline.config
-        if ctx.reads is None:
-            if ctx.paired:
-                ctx.reads = ReadBatch(
-                    records=list(iter_fastq(ctx.fastq_path)),
-                    mate2=list(iter_fastq(ctx.fastq_path_2)),
-                )
-            else:
-                records = list(iter_fastq(ctx.fastq_path))
-                if cfg.trim is not None:
-                    records, ctx.trim_stats = ReadTrimmer(cfg.trim).trim(
-                        records
-                    )
-                ctx.reads = ReadBatch(records=records)
+        if cfg.trim is not None and isinstance(ctx.reads, ReadBatch) and not ctx.paired:
+            records, ctx.trim_stats = ReadTrimmer(cfg.trim).trim(
+                ctx.reads.reads.records()
+            )
+            ctx.reads = ReadBatch(records)
         engine = pipeline._get_engine()
         if (
             engine is not None

@@ -14,28 +14,22 @@ end).  This module adds:
 
 from __future__ import annotations
 
-import io
-import json
-import struct
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.genome.alphabet import random_sequence, reverse_complement
-from repro.reads.fastq import FastqRecord, write_fastq
+from repro.reads.fastq import FastqPayload, FastqRecord, format_fastq, write_fastq
 from repro.reads.library import LibraryType, SampleProfile, SraRunMetadata
 from repro.reads.simulator import ReadSimulator
+from repro.reads.sra import pack_archive, read_archive, run_fasterq_dump
 from repro.util.rng import derive_rng, ensure_rng
 
 if TYPE_CHECKING:
     from repro.core.resilience import FaultPlan
 from repro.util.validation import check_positive
-
-_MAGIC_PAIRED = b"SRAP"
-_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -195,14 +189,7 @@ class PairedSraArchive:
         return len(self.mate1)
 
     def _fastq_bytes(self) -> bytes:
-        buf = io.StringIO()
-        for r1, r2 in zip(self.mate1, self.mate2):
-            for rec in (r1, r2):
-                buf.write(f"@{rec.read_id}\n{rec.sequence_str}\n+\n{rec.quality_str}\n")
-        return buf.getvalue().encode("ascii")
-
-    def _payload(self) -> bytes:
-        return zlib.compress(self._fastq_bytes(), level=6)
+        return format_fastq(r for pair in zip(self.mate1, self.mate2) for r in pair)
 
     def metadata(self, *, tissue: str = "unknown") -> SraRunMetadata:
         """Catalog entry, as :meth:`SraArchive.metadata`; reads count
@@ -218,48 +205,35 @@ class PairedSraArchive:
         )
 
     def to_bytes(self) -> bytes:
-        header = json.dumps(
-            {
-                "accession": self.accession,
-                "library": self.library.value,
-                "n_pairs": self.n_pairs,
-            }
-        ).encode("ascii")
-        return _MAGIC_PAIRED + struct.pack("<HI", _VERSION, len(header)) + header + self._payload()
+        header = {
+            "accession": self.accession,
+            "library": self.library.value,
+            "n_pairs": self.n_pairs,
+        }
+        return pack_archive(header, self._fastq_bytes(), paired=True)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PairedSraArchive":
-        if data[:4] != _MAGIC_PAIRED:
+        header, payload = read_archive(data)
+        if payload.mates != 2:
             raise ValueError("not a paired SRA archive (bad magic)")
-        version, header_len = struct.unpack_from("<HI", data, 4)
-        if version != _VERSION:
-            raise ValueError(f"unsupported paired archive version {version}")
-        start = 4 + struct.calcsize("<HI")
-        header = json.loads(data[start : start + header_len])
-        text = zlib.decompress(data[start + header_len :]).decode("ascii")
-        lines = text.splitlines()
-        if len(lines) % 8 != 0:
-            raise ValueError("corrupt paired payload")
-        mate1: list[FastqRecord] = []
-        mate2: list[FastqRecord] = []
-        for i in range(0, len(lines), 8):
-            mate1.append(
-                FastqRecord.from_strings(lines[i][1:], lines[i + 1], lines[i + 3])
-            )
-            mate2.append(
-                FastqRecord.from_strings(
-                    lines[i + 4][1:], lines[i + 5], lines[i + 7]
-                )
-            )
-        archive = cls(
+        pairs = payload.columns(ids=payload.headers())
+        return cls(
             accession=header["accession"],
             library=LibraryType(header["library"]),
-            mate1=mate1,
-            mate2=mate2,
+            mate1=pairs.mate1.records(),
+            mate2=pairs.mate2.records(),
         )
-        if archive.n_pairs != header["n_pairs"]:
-            raise ValueError("corrupt paired archive: pair count mismatch")
-        return archive
+
+
+def write_mate_files(
+    payload: FastqPayload, out_dir: Path, accession: str
+) -> tuple[Path, Path]:
+    """Write a decoded paired payload as ``_1.fastq`` / ``_2.fastq``."""
+    paths = (out_dir / f"{accession}_1.fastq", out_dir / f"{accession}_2.fastq")
+    for mate, path in enumerate(paths):
+        write_fastq(payload.canonical(mate), path)
+    return paths
 
 
 def fasterq_dump_paired(
@@ -272,14 +246,7 @@ def fasterq_dump_paired(
 
     Mirrors ``fasterq-dump --split-files``.
     """
-    sra_path = Path(sra_path)
-    if fault_plan is not None:
-        fault_plan.check("fasterq_dump", sra_path.stem)
-    archive = PairedSraArchive.from_bytes(sra_path.read_bytes())
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    p1 = out_dir / f"{archive.accession}_1.fastq"
-    p2 = out_dir / f"{archive.accession}_2.fastq"
-    write_fastq(archive.mate1, p1)
-    write_fastq(archive.mate2, p2)
-    return p1, p2
+    dump = run_fasterq_dump(sra_path, out_dir, fault_plan=fault_plan)
+    if len(dump.paths) != 2:
+        raise ValueError(f"{sra_path}: not a paired SRA archive")
+    return dump.paths

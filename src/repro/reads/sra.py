@@ -9,13 +9,14 @@ interface and round-trip guarantees:
   plus a zlib-compressed FASTQ payload;
 * :class:`SraRepository` — an accession-keyed store playing the role of
   the NCBI repository (backed by a directory or kept in memory);
-* :func:`prefetch` / :func:`fasterq_dump` — the tool front-ends used by
-  :class:`repro.core.pipeline.TranscriptomicsAtlasPipeline`.
+* :func:`prefetch` / :func:`run_fasterq_dump` — the tool front-ends used
+  by :class:`repro.core.pipeline.TranscriptomicsAtlasPipeline`; the dump
+  decodes the payload once into :class:`~repro.reads.fastq.ReadColumns`
+  and hands them on with the FASTQ file it writes.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 import zlib
@@ -23,7 +24,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.reads.fastq import FastqRecord, iter_fastq, write_fastq
+from repro.reads.fastq import (
+    FastqPayload,
+    FastqRecord,
+    PairedColumns,
+    ReadColumns,
+    format_fastq,
+    iter_fastq,
+    write_fastq,
+)
 from repro.reads.library import LibraryType, SraRunMetadata
 
 if TYPE_CHECKING:
@@ -31,7 +40,40 @@ if TYPE_CHECKING:
     from repro.reads.paired import PairedSraArchive
 
 _MAGIC = b"SRAR"
+_MAGIC_PAIRED = b"SRAP"
 _VERSION = 1
+_PREFIX = struct.Struct("<HI")
+
+
+def pack_archive(header: dict, fastq: bytes, *, paired: bool = False) -> bytes:
+    """Serialize: MAGIC | version | header-length | header-json | zlib(fastq)."""
+    blob = json.dumps(header).encode("ascii")
+    magic = _MAGIC_PAIRED if paired else _MAGIC
+    return magic + _PREFIX.pack(_VERSION, len(blob)) + blob + zlib.compress(fastq, 6)
+
+
+def read_archive(data: bytes) -> tuple[dict, FastqPayload]:
+    """Validate a container (either layout) and decode its payload.
+
+    Returns the JSON header and the decoded payload; a paired archive's
+    payload interleaves the mates (``mates=2``).
+    """
+    magic = data[:4]
+    if magic not in (_MAGIC, _MAGIC_PAIRED):
+        raise ValueError("not an SRA archive (bad magic)")
+    version, header_len = _PREFIX.unpack_from(data, 4)
+    if version != _VERSION:
+        raise ValueError(f"unsupported SRA archive version {version}")
+    start = 4 + _PREFIX.size
+    header = json.loads(data[start : start + header_len])
+    paired = magic == _MAGIC_PAIRED
+    payload = FastqPayload(
+        zlib.decompress(data[start + header_len :]),
+        source=header["accession"],
+        mates=2 if paired else 1,
+        expected=header["n_pairs" if paired else "n_reads"],
+    )
+    return header, payload
 
 
 @dataclass
@@ -51,59 +93,34 @@ class SraArchive:
         return self.records[0].length if self.records else 0
 
     def _fastq_bytes(self) -> bytes:
-        buf = io.StringIO()
-        for rec in self.records:
-            buf.write(f"@{rec.read_id}\n{rec.sequence_str}\n+\n{rec.quality_str}\n")
-        return buf.getvalue().encode("ascii")
+        return format_fastq(self.records)
 
     def to_bytes(self) -> bytes:
-        """Serialize: MAGIC | version | header-length | header-json | zlib(fastq)."""
-        header = json.dumps(
-            {
-                "accession": self.accession,
-                "library": self.library.value,
-                "n_reads": self.n_reads,
-                "read_length": self.read_length,
-            }
-        ).encode("ascii")
-        payload = zlib.compress(self._fastq_bytes(), level=6)
-        return (
-            _MAGIC
-            + struct.pack("<HI", _VERSION, len(header))
-            + header
-            + payload
-        )
+        """Serialize the container (see :func:`pack_archive`)."""
+        header = {
+            "accession": self.accession,
+            "library": self.library.value,
+            "n_reads": self.n_reads,
+            "read_length": self.read_length,
+        }
+        return pack_archive(header, self._fastq_bytes())
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SraArchive":
-        """Parse a serialized archive, validating magic and version."""
-        if data[:4] != _MAGIC:
-            raise ValueError("not an SRA archive (bad magic)")
-        version, header_len = struct.unpack_from("<HI", data, 4)
-        if version != _VERSION:
-            raise ValueError(f"unsupported SRA archive version {version}")
-        header_start = 4 + struct.calcsize("<HI")
-        header = json.loads(data[header_start : header_start + header_len])
-        fastq_text = zlib.decompress(data[header_start + header_len :]).decode("ascii")
-        records: list[FastqRecord] = []
-        lines = fastq_text.splitlines()
-        if len(lines) % 4 != 0:
-            raise ValueError("corrupt SRA payload: FASTQ line count not divisible by 4")
-        for i in range(0, len(lines), 4):
-            records.append(
-                FastqRecord.from_strings(lines[i][1:], lines[i + 1], lines[i + 3])
-            )
-        archive = cls(
+        """Parse a serialized archive, validating magic and version.
+
+        Record ids keep the whole header line, so an archive round-trips
+        byte for byte; the reads ``fasterq-dump`` hands on cut them at
+        the first whitespace.
+        """
+        header, payload = read_archive(data)
+        if payload.mates != 1:
+            raise ValueError("not a single-end SRA archive (bad magic)")
+        return cls(
             accession=header["accession"],
             library=LibraryType(header["library"]),
-            records=records,
+            records=payload.columns(ids=payload.headers()).records(),
         )
-        if archive.n_reads != header["n_reads"]:
-            raise ValueError(
-                f"corrupt SRA archive: header says {header['n_reads']} reads, "
-                f"payload has {archive.n_reads}"
-            )
-        return archive
 
     def metadata(self, *, tissue: str = "unknown") -> SraRunMetadata:
         """Derive the repository catalog entry for this archive."""
@@ -212,25 +229,61 @@ def prefetch(
     return out
 
 
+@dataclass(frozen=True)
+class FastqDump:
+    """What one ``fasterq-dump`` run produced."""
+
+    #: ``<accession>.fastq``, or ``_1``/``_2`` files for a paired archive
+    paths: tuple[Path, ...]
+    #: the same reads, decoded once (ids cut at the first whitespace)
+    reads: ReadColumns | PairedColumns
+
+
+def run_fasterq_dump(
+    sra_path: Path | str,
+    out_dir: Path | str,
+    *,
+    fault_plan: "FaultPlan | None" = None,
+) -> FastqDump:
+    """Convert an SRA container of either layout to FASTQ (pipeline step 2).
+
+    The payload is decoded once: its FASTQ text goes to disk with bases
+    canonicalized (byte-identical to :func:`write_fastq` over the
+    archive's records), and the decoded columns come back for the align
+    stage, which therefore never re-reads the file.  Paired archives split into
+    ``_1``/``_2`` files, like ``fasterq-dump --split-files``.
+    """
+    sra_path = Path(sra_path)
+    if fault_plan is not None:
+        fault_plan.check("fasterq_dump", sra_path.stem)
+    header, payload = read_archive(sra_path.read_bytes())
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    accession = header["accession"]
+    if payload.mates == 2:
+        from repro.reads.paired import write_mate_files
+
+        paths = write_mate_files(payload, out_dir, accession)
+    else:
+        paths = (out_dir / f"{accession}.fastq",)
+        write_fastq(payload.canonical(), paths[0])
+    return FastqDump(paths, payload.columns())
+
+
 def fasterq_dump(
     sra_path: Path | str,
     out_dir: Path | str,
     *,
     fault_plan: "FaultPlan | None" = None,
 ) -> Path:
-    """Convert an SRA container to FASTQ (pipeline step 2).
+    """Convert a single-end SRA container to FASTQ (pipeline step 2).
 
     Returns the path of the produced ``<accession>.fastq`` file.
     """
-    sra_path = Path(sra_path)
-    if fault_plan is not None:
-        fault_plan.check("fasterq_dump", sra_path.stem)
-    archive = SraArchive.from_bytes(sra_path.read_bytes())
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / f"{archive.accession}.fastq"
-    write_fastq(archive.records, out)
-    return out
+    dump = run_fasterq_dump(sra_path, out_dir, fault_plan=fault_plan)
+    if len(dump.paths) != 1:
+        raise ValueError(f"{sra_path}: paired archive, use fasterq_dump_paired")
+    return dump.paths[0]
 
 
 def load_archive(sra_path: Path | str) -> SraArchive:

@@ -6,11 +6,11 @@ step at a time.  This module supplies the reads-layer machinery:
 
 * :func:`iter_fastq_chunks` / :func:`iter_chunks` — the chunk API that
   feeds the engine's batch queue;
-* :class:`SraStream` — an incremental parser that turns a *byte-chunk*
-  download of an ``.sra`` container into FASTQ record chunks as they
-  decompress, with mid-stream cancellation (the early-stopping hook that
-  saves download bytes, not just align seconds) and exact byte
-  accounting;
+* :class:`SraStream` — an incremental decoder that turns a *byte-chunk*
+  download of an ``.sra`` container into read column chunks
+  (:class:`~repro.reads.fastq.ReadColumns`) as they decompress, with
+  mid-stream cancellation (the early-stopping hook that saves download
+  bytes, not just align seconds) and exact byte accounting;
 * :class:`ThrottledRepository` — a repository wrapper that simulates
   network transfer time, used by the stream benchmark and tests to make
   the overlap measurable.
@@ -24,23 +24,22 @@ from __future__ import annotations
 
 import itertools
 import json
-import struct
 import time
 import zlib
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import TypeVar
 
-from repro.reads.fastq import FastqRecord, iter_fastq
+import numpy as np
+
+from repro.reads.fastq import ReadColumns, decode_fastq, read_fastq_columns
 from repro.reads.library import LibraryType
-from repro.reads.sra import SraRepository
+from repro.reads.sra import _MAGIC, _MAGIC_PAIRED, _PREFIX, _VERSION, SraRepository
 
 T = TypeVar("T")
 
-_MAGIC_SINGLE = b"SRAR"
-_MAGIC_PAIRED = b"SRAP"
-_SUPPORTED_VERSION = 1
-_HEADER_PREFIX_LEN = 4 + struct.calcsize("<HI")
+_HEADER_PREFIX_LEN = 4 + _PREFIX.size
+_NEWLINE = ord("\n")
 
 #: default records per streamed chunk (the unit the align stage consumes)
 DEFAULT_CHUNK_READS = 256
@@ -62,9 +61,14 @@ def iter_chunks(items: Iterable[T], size: int) -> Iterator[list[T]]:
 
 def iter_fastq_chunks(
     path: Path | str, chunk_reads: int = DEFAULT_CHUNK_READS
-) -> Iterator[list[FastqRecord]]:
-    """Stream a FASTQ file as record chunks (the pipeline's chunk API)."""
-    return iter_chunks(iter_fastq(path), chunk_reads)
+) -> Iterator[ReadColumns]:
+    """Decode a FASTQ file and hand it out as ``chunk_reads``-read column
+    chunks (the pipeline's chunk API)."""
+    if chunk_reads < 1:
+        raise ValueError("chunk size must be >= 1")
+    reads = read_fastq_columns(path)
+    for start in range(0, len(reads), chunk_reads):
+        yield reads[start : start + chunk_reads]
 
 
 class ThrottledRepository:
@@ -138,12 +142,14 @@ class SraStream:
     Call :meth:`open` to pull bytes until the container header is parsed
     (``paired``/``n_reads``/``library`` become available — the align
     stage needs the read total before the payload finishes), then
-    iterate :meth:`chunks`: each item is a ``list[FastqRecord]`` for
-    single-end archives or a ``(mate1, mate2)`` list pair for paired
-    ones.  Records are parsed with the same semantics as the sequential
-    ``fasterq-dump → iter_fastq`` path (read ids cut at the first
-    whitespace), and ``fastq_bytes`` accumulates the exact size the
-    dumped FASTQ file(s) would have had on disk.
+    iterate :meth:`chunks`: each item is a
+    :class:`~repro.reads.fastq.ReadColumns` chunk of ``chunk_reads``
+    reads for single-end archives, or a
+    :class:`~repro.reads.fastq.PairedColumns` chunk of that many pairs
+    for paired ones.  Chunks come out of the same decoder, with the same
+    checks and read-id rule, as the sequential ``fasterq-dump`` step, and
+    ``fastq_bytes`` accumulates the exact size the dumped FASTQ file(s)
+    would have had on disk.
 
     :meth:`cancel` stops the download at the next chunk boundary;
     ``bytes_saved`` then reports what never moved — the quantity the
@@ -179,8 +185,9 @@ class SraStream:
         self._finished = False
         self._byte_iter: Iterator[bytes] | None = None
         self._decomp = zlib.decompressobj()
-        self._text = ""
-        self._lines: list[str] = []
+        #: decompressed payload not yet decoded, and its newline count
+        self._text = bytearray()
+        self._newlines = 0
 
     # -- byte side -----------------------------------------------------------
 
@@ -229,10 +236,10 @@ class SraStream:
         magic = buffer[:4]
         if magic == _MAGIC_PAIRED:
             self.paired = True
-        elif magic != _MAGIC_SINGLE:
+        elif magic != _MAGIC:
             raise ValueError("not an SRA archive (bad magic)")
-        version, header_len = struct.unpack_from("<HI", buffer, 4)
-        if version != _SUPPORTED_VERSION:
+        version, header_len = _PREFIX.unpack_from(buffer, 4)
+        if version != _VERSION:
             raise ValueError(f"unsupported SRA archive version {version}")
         while len(buffer) < _HEADER_PREFIX_LEN + header_len:
             buffer += self._next_bytes()
@@ -261,54 +268,38 @@ class SraStream:
     def _ingest(self, data: bytes) -> None:
         """Feed compressed payload bytes through the incremental inflater."""
         if data:
-            self._text += self._decomp.decompress(data).decode("ascii")
-        parts = self._text.split("\n")
-        self._text = parts.pop()
-        self._lines.extend(parts)
+            self._add_text(self._decomp.decompress(data))
 
-    def _group_size(self) -> int:
-        return 8 if self.paired else 4
+    def _add_text(self, text: bytes) -> None:
+        self._text += text
+        self._newlines += text.count(b"\n")
 
-    def _take_records(self, n_groups: int):
-        """Pop ``n_groups`` complete FASTQ line groups into record lists."""
-        group = self._group_size()
-        lines = self._lines[: n_groups * group]
-        del self._lines[: n_groups * group]
-        self.fastq_bytes += sum(len(line) + 1 for line in lines)
-        records: list[FastqRecord] = []
-        mate2: list[FastqRecord] = []
-        for i in range(0, len(lines), 4):
-            header, seq, plus, qual = lines[i : i + 4]
-            if not header.startswith("@"):
-                raise ValueError(
-                    f"{self.accession}: expected '@' header, got {header!r}"
-                )
-            if not plus.startswith("+"):
-                raise ValueError(
-                    f"{self.accession}: malformed separator line {plus!r}"
-                )
-            record = FastqRecord.from_strings(
-                header[1:].split()[0], seq, qual
-            )
-            # paired payloads interleave mates: 4 lines each, mate1 first
-            if self.paired and (i // 4) % 2 == 1:
-                mate2.append(record)
-            else:
-                records.append(record)
-        self.records_out += len(records)
-        if self.paired:
-            return records, mate2
-        return records
+    def _take(self, n_lines: int):
+        """Decode the first ``n_lines`` complete lines into one chunk."""
+        view = np.frombuffer(self._text, dtype=np.uint8)
+        cut = int(np.flatnonzero(view == _NEWLINE)[n_lines - 1]) + 1
+        del view  # release the buffer before resizing it
+        data = bytes(self._text[:cut])
+        del self._text[:cut]
+        self._newlines -= n_lines
+        return self._decode(data)
+
+    def _decode(self, data: bytes):
+        reads = decode_fastq(
+            data, source=self.accession, mates=2 if self.paired else 1
+        )
+        self.fastq_bytes += len(data)
+        self.records_out += len(reads)
+        return reads
 
     def chunks(self) -> Iterator:
-        """Yield record chunks as payload bytes arrive (see class doc)."""
+        """Yield read chunks as payload bytes arrive (see class doc)."""
         if self._byte_iter is None:
             self.open()
-        group = self._group_size()
-        per_chunk = self.chunk_reads * group
+        per_chunk = self.chunk_reads * (8 if self.paired else 4)
         while True:
-            while len(self._lines) >= per_chunk:
-                yield self._take_records(self.chunk_reads)
+            while self._newlines >= per_chunk:
+                yield self._take(per_chunk)
             if self.cancelled:
                 return
             chunk = next(self._byte_iter, None)
@@ -316,26 +307,14 @@ class SraStream:
                 break
             self.bytes_downloaded += len(chunk)
             self._ingest(chunk)
-        # end of stream: flush the inflater and validate framing
-        self._text += self._decomp.flush().decode("ascii")
+        self._add_text(self._decomp.flush())
+        while self._newlines >= per_chunk:
+            yield self._take(per_chunk)
         if self._text:
-            parts = self._text.split("\n")
-            self._text = parts.pop()
-            self._lines.extend(parts)
-        if self._text:
-            raise ValueError(
-                f"corrupt SRA payload for {self.accession!r}: "
-                "unterminated final line"
-            )
-        if len(self._lines) % group != 0:
-            raise ValueError(
-                f"corrupt SRA payload for {self.accession!r}: FASTQ line "
-                f"count not divisible by {group}"
-            )
-        while len(self._lines) >= per_chunk:
-            yield self._take_records(self.chunk_reads)
-        if self._lines:
-            yield self._take_records(len(self._lines) // group)
+            # the short last chunk; decoding it checks the final framing
+            # (terminated last line, whole records)
+            yield self._decode(bytes(self._text))
+            self._text.clear()
         self._finished = True
         if not self.cancelled and self.records_out != self.n_reads:
             raise ValueError(

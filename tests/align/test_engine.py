@@ -394,7 +394,7 @@ class TestWorkerRecovery:
         align = SingleEndCodec.align
 
         def fatal_in_workers(codec, payload):
-            if os.getpid() != parent and any(r.read_id == poison for r in payload):
+            if os.getpid() != parent and poison in payload.ids:
                 os._exit(1)
             return align(codec, payload)
 
@@ -509,14 +509,33 @@ class TestShardSizing:
         assert _shard_bounds(3, 64) == [(0, 3)]
         assert _shard_bounds(0, 64) == []
 
+    @staticmethod
+    def columns(n: int, first: int = 0):
+        """``n`` one-base reads with ids ``first``, ``first + 1``, ..."""
+        from repro.reads.fastq import ReadColumns
+
+        return ReadColumns(
+            [str(i) for i in range(first, first + n)],
+            np.zeros(n, dtype=np.uint8),
+            np.arange(n + 1, dtype=np.int64),
+            np.zeros(n, dtype=np.uint8),
+        )
+
     def test_iter_shards_matches_bounds(self):
         from repro.align.runner import _iter_shards, _shard_bounds
 
         for total, shard in [(0, 8), (3, 8), (16, 8), (17, 8), (18, 8), (130, 64)]:
-            records = list(range(total))
-            lazy = [len(c) for c in _iter_shards(records, shard)]
             eager = [e - s for s, e in _shard_bounds(total, shard)]
-            assert lazy == eager, (total, shard)
+            # one whole batch, and the same reads as a feed of odd chunks
+            chunked = [
+                self.columns(min(5, total - i), i) for i in range(0, total, 5)
+            ]
+            for chunks in ([self.columns(total)], chunked):
+                shards = list(_iter_shards(chunks, shard))
+                assert [len(c) for c in shards] == eager, (total, shard)
+                assert [i for c in shards for i in c.ids] == [
+                    str(i) for i in range(total)
+                ]
 
     def test_streamed_iterator_is_not_over_buffered(self):
         from repro.align.runner import _iter_shards
@@ -526,7 +545,7 @@ class TestShardSizing:
         def feed():
             for i in range(20):
                 pulled.append(i)
-                yield i
+                yield self.columns(1, i)
 
         shards = _iter_shards(feed(), 8)
         next(shards)

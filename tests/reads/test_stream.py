@@ -67,7 +67,7 @@ class TestIterChunks:
     def test_fastq_chunks_roundtrip(self, bulk_sample, tmp_path):
         path = tmp_path / "sample.fastq"
         write_fastq(bulk_sample.records, path)
-        flat = [r for chunk in iter_fastq_chunks(path, 32) for r in chunk]
+        flat = [r for chunk in iter_fastq_chunks(path, 32) for r in chunk.records()]
         direct = list(iter_fastq(path))
         assert len(flat) == len(direct)
         assert all(records_equal(a, b) for a, b in zip(flat, direct))
@@ -87,7 +87,7 @@ class TestSraStreamSingleEnd:
         fastq = fasterq_dump(sra, tmp_path)
         sequential = list(iter_fastq(fastq))
         stream = SraStream(repository, SE, chunk_bytes=512, chunk_reads=16)
-        streamed = [r for chunk in stream.chunks() for r in chunk]
+        streamed = [r for chunk in stream.chunks() for r in chunk.records()]
         assert len(streamed) == len(sequential)
         assert all(records_equal(a, b) for a, b in zip(streamed, sequential))
 
@@ -148,9 +148,9 @@ class TestSraStreamPaired:
         archive = PairedSraArchive.from_bytes(repository.fetch_bytes(PE))
         stream = SraStream(repository, PE, chunk_bytes=512, chunk_reads=16)
         mate1, mate2 = [], []
-        for chunk1, chunk2 in stream.chunks():
-            mate1.extend(chunk1)
-            mate2.extend(chunk2)
+        for chunk in stream.chunks():
+            mate1.extend(chunk.mate1.records())
+            mate2.extend(chunk.mate2.records())
         assert stream.paired
         assert stream.n_reads == 60
         assert len(mate1) == len(mate2) == 60
@@ -159,10 +159,10 @@ class TestSraStreamPaired:
 
     def test_chunks_keep_mates_in_lockstep(self, repository):
         stream = SraStream(repository, PE, chunk_reads=25)
-        for chunk1, chunk2 in stream.chunks():
-            assert len(chunk1) == len(chunk2)
-            for r1, r2 in zip(chunk1, chunk2):
-                assert r1.read_id[:-2] == r2.read_id[:-2]
+        for chunk in stream.chunks():
+            assert len(chunk.mate1) == len(chunk.mate2) == len(chunk)
+            for id1, id2 in zip(chunk.mate1.ids, chunk.mate2.ids):
+                assert id1[:-2] == id2[:-2]
 
 
 class TestThrottledRepository:
