@@ -17,14 +17,14 @@ checkpoint identically, and every shard goes through the vectorized
 batch core (:mod:`repro.align.batch`) when ``StarParameters.batch_align``
 is on.
 
-The streaming pipeline adds :meth:`AlignerBackend.align_stream`: the
-same contract as ``align``, but fed by :class:`ReadChunkStream` — a lazy
-chunk feed with the read total known up front (from the SRA container
-header) — so alignment starts before the download finishes.  Single-end
-backends consume chunks truly lazily; the paired backend materializes
-both mate lists first (mates interleave in the container, so no
-intra-accession overlap for PE — inter-accession prefetch overlap still
-applies).
+Every backend takes the same read container, :class:`ReadChunkStream`:
+a chunk feed with the read total known up front.  The ``fasterq-dump``
+stage hands over one whole-accession chunk; a streamed download feeds
+chunks as they arrive, so alignment starts before the download
+finishes.  The serial, paired and engine backends consume the feed
+lazily for both library layouts (streamed pairs arrive as row-aligned
+mate columns).  Only FaaS materializes it first, because its shard
+sizing needs the whole payload's wire bytes.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from repro.align.paired import PairedStarAligner
 from repro.align.runner import (
     PairedEndCodec,
     SingleEndCodec,
+    column_feed,
     run_shards,
 )
 from repro.align.star import StarAligner
@@ -62,7 +63,6 @@ __all__ = [
     "EngineBackend",
     "FaasAlignerBackend",
     "PairedAlignerBackend",
-    "ReadBatch",
     "ReadChunkStream",
     "SerialAlignerBackend",
     "resolve_backend",
@@ -72,61 +72,41 @@ __all__ = [
 BACKEND_CHOICES = ("auto", "serial", "engine", "faas")
 
 
-@dataclass(frozen=True)
-class ReadBatch:
-    """One accession's reads as columns: single-end, or both mates.
-
-    Record lists are accepted and converted to columns here, once.
-    """
-
-    reads: ReadColumns
-    mate2: ReadColumns | None = None
-
-    @property
-    def paired(self) -> bool:
-        return self.mate2 is not None
-
-    def __len__(self) -> int:
-        return len(self.reads)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "reads", as_columns(self.reads))
-        if self.mate2 is not None:
-            object.__setattr__(self, "mate2", as_columns(self.mate2))
-            if len(self.mate2) != len(self.reads):
-                raise ValueError("mate lists must have equal length")
-
-
 @dataclass
 class ReadChunkStream:
-    """One accession's reads as a lazy chunk feed with a known total.
+    """One accession's reads as a chunk feed with a known total — the
+    one read container every backend aligns.
 
     ``chunks`` yields :class:`~repro.reads.fastq.ReadColumns` for
-    single-end accessions or :class:`~repro.reads.fastq.PairedColumns`
-    for paired ones (what :meth:`repro.reads.stream.SraStream.chunks`
-    produces); ``reads_total`` comes from the SRA container header, so
-    progress records (and therefore early-stopping decisions) are
-    identical to a fully-materialized run even though reads arrive
-    incrementally.
+    single-end accessions or row-aligned
+    :class:`~repro.reads.fastq.PairedColumns` for paired ones.  A
+    streamed download feeds it lazily
+    (:meth:`repro.reads.stream.SraStream.chunks`, with ``reads_total``
+    from the SRA container header, so progress records and therefore
+    early-stopping decisions match a whole-accession run); the
+    ``fasterq-dump`` stage hands over one whole-accession chunk
+    (:meth:`whole`).
     """
 
     chunks: Iterable
     reads_total: int
     paired: bool = False
 
+    @classmethod
+    def whole(cls, reads, mate2=None) -> "ReadChunkStream":
+        """All of an accession's reads as one chunk: columns or records
+        (plus ``mate2`` for pairs), or a :class:`PairedColumns`."""
+        feed, total = column_feed(reads, None, mate2)
+        return cls(feed, total, isinstance(feed[0], PairedColumns))
+
     def records(self):
-        """The single-end chunk feed, pulled lazily (what a single-end
-        backend consumes; the reads stay columns)."""
-        if self.paired:
-            raise ValueError("records() is single-end only; use materialize()")
+        """The chunk feed, pulled lazily (the reads stay columns)."""
         yield from self.chunks
 
-    def materialize(self) -> ReadBatch:
-        """Drain the feed into a :class:`ReadBatch` (the PE fallback)."""
-        if not self.paired:
-            return ReadBatch(ReadColumns.concat(list(self.records())))
-        pairs = PairedColumns.concat(list(self.chunks))
-        return ReadBatch(pairs.mate1, pairs.mate2)
+    def materialize(self) -> ReadColumns | PairedColumns:
+        """Drain the feed into one chunk."""
+        concat = PairedColumns.concat if self.paired else ReadColumns.concat
+        return concat(list(self.records()))
 
 
 @runtime_checkable
@@ -138,7 +118,7 @@ class AlignerBackend(Protocol):
 
     def align(
         self,
-        reads: ReadBatch,
+        reads: ReadChunkStream,
         *,
         monitor: ProgressMonitorHook | None = None,
         out_dir: Path | str | None = None,
@@ -153,16 +133,6 @@ class AlignerBackend(Protocol):
         """
         ...
 
-    def align_stream(
-        self,
-        stream: ReadChunkStream,
-        *,
-        monitor: ProgressMonitorHook | None = None,
-        out_dir: Path | str | None = None,
-    ) -> AlignmentOutcome:
-        """Align a chunk feed as it arrives; same contract as :meth:`align`."""
-        ...
-
 
 class SerialAlignerBackend:
     """In-process single-end alignment via :class:`StarAligner`."""
@@ -174,7 +144,7 @@ class SerialAlignerBackend:
 
     def align(
         self,
-        reads: ReadBatch,
+        reads: ReadChunkStream,
         *,
         monitor: ProgressMonitorHook | None = None,
         out_dir: Path | str | None = None,
@@ -183,24 +153,11 @@ class SerialAlignerBackend:
         if reads.paired:
             raise ValueError("serial single-end backend got paired reads")
         return self.aligner.run(
-            reads.reads, monitor=monitor, out_dir=out_dir, checkpoint=checkpoint
-        )
-
-    def align_stream(
-        self,
-        stream: ReadChunkStream,
-        *,
-        monitor: ProgressMonitorHook | None = None,
-        out_dir: Path | str | None = None,
-    ) -> AlignmentOutcome:
-        """Consume chunks lazily through the serial aligner's run loop."""
-        if stream.paired:
-            raise ValueError("serial single-end backend got paired reads")
-        return self.aligner.run(
-            stream.records(),
-            reads_total=stream.reads_total,
+            reads.records(),
+            reads_total=reads.reads_total,
             monitor=monitor,
             out_dir=out_dir,
+            checkpoint=checkpoint,
         )
 
 
@@ -218,7 +175,7 @@ class PairedAlignerBackend:
 
     def align(
         self,
-        reads: ReadBatch,
+        reads: ReadChunkStream,
         *,
         monitor: ProgressMonitorHook | None = None,
         out_dir: Path | str | None = None,
@@ -226,20 +183,12 @@ class PairedAlignerBackend:
     ) -> AlignmentOutcome:
         if not reads.paired:
             raise ValueError("paired backend got single-end reads")
-        assert reads.mate2 is not None
         return self.paired_aligner.run(
-            reads.reads, reads.mate2, monitor=monitor, checkpoint=checkpoint
+            reads.records(),
+            reads_total=reads.reads_total,
+            monitor=monitor,
+            checkpoint=checkpoint,
         )
-
-    def align_stream(
-        self,
-        stream: ReadChunkStream,
-        *,
-        monitor: ProgressMonitorHook | None = None,
-        out_dir: Path | str | None = None,
-    ) -> AlignmentOutcome:
-        """Materialize both mate lists, then run (see module docstring)."""
-        return self.align(stream.materialize(), monitor=monitor, out_dir=out_dir)
 
 
 class EngineBackend:
@@ -256,36 +205,26 @@ class EngineBackend:
 
     def align(
         self,
-        reads: ReadBatch,
+        reads: ReadChunkStream,
         *,
         monitor: ProgressMonitorHook | None = None,
         out_dir: Path | str | None = None,
         checkpoint: Any = None,
     ) -> AlignmentOutcome:
+        """Feed chunks into the engine's dispatch window as they arrive."""
         if reads.paired:
-            assert reads.mate2 is not None
             return self.engine.run_paired(
-                reads.reads, reads.mate2, monitor=monitor, checkpoint=checkpoint
+                reads.records(),
+                reads_total=reads.reads_total,
+                monitor=monitor,
+                checkpoint=checkpoint,
             )
         return self.engine.run(
-            reads.reads, monitor=monitor, out_dir=out_dir, checkpoint=checkpoint
-        )
-
-    def align_stream(
-        self,
-        stream: ReadChunkStream,
-        *,
-        monitor: ProgressMonitorHook | None = None,
-        out_dir: Path | str | None = None,
-    ) -> AlignmentOutcome:
-        """Feed chunks into the engine's dispatch window as they arrive."""
-        if stream.paired:
-            return self.align(stream.materialize(), monitor=monitor, out_dir=out_dir)
-        return self.engine.run(
-            stream.records(),
-            reads_total=stream.reads_total,
+            reads.records(),
+            reads_total=reads.reads_total,
             monitor=monitor,
             out_dir=out_dir,
+            checkpoint=checkpoint,
         )
 
 
@@ -541,23 +480,26 @@ class FaasAlignerBackend:
 
     def align(
         self,
-        reads: ReadBatch,
+        reads: ReadChunkStream,
         *,
         monitor: ProgressMonitorHook | None = None,
         out_dir: Path | str | None = None,
         checkpoint: Any = None,
     ) -> AlignmentOutcome:
+        """Materialize, then scatter: shard sizing needs the whole
+        payload's wire bytes (see :meth:`shard_size`)."""
+        columns = reads.materialize()
         if reads.paired:
             codec = PairedEndCodec(self._paired_aligner())
-            columns = PairedColumns(reads.reads, reads.mate2)
+            shard = self.shard_size(columns.mate1, columns.mate2)
         else:
             codec = SingleEndCodec(self.aligner)
-            columns = reads.reads
+            shard = self.shard_size(columns)
         return run_shards(
             codec,
             [columns],
-            total=len(reads),
-            shard=self.shard_size(reads.reads, reads.mate2),
+            total=reads.reads_total,
+            shard=shard,
             executor=lambda payloads: (
                 (payload, self._execute_shard(payload, paired=reads.paired))
                 for payload in payloads
@@ -566,18 +508,6 @@ class FaasAlignerBackend:
             checkpoint=checkpoint,
             out_dir=out_dir,
         )
-
-    def align_stream(
-        self,
-        stream: ReadChunkStream,
-        *,
-        monitor: ProgressMonitorHook | None = None,
-        out_dir: Path | str | None = None,
-    ) -> AlignmentOutcome:
-        """Materialize, then align: short-lived functions need whole
-        request payloads, so there is no intra-accession overlap to win —
-        inter-accession prefetch overlap still applies."""
-        return self.align(stream.materialize(), monitor=monitor, out_dir=out_dir)
 
 
 def resolve_backend(

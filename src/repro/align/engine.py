@@ -65,7 +65,7 @@ from repro.align.star import (
 )
 from repro.align.suffix_array import PrefixJumpTable, SeedSearchStats
 from repro.genome.annotation import Annotation
-from repro.reads.fastq import FastqRecord, PairedColumns, ReadColumns, as_columns
+from repro.reads.fastq import FastqRecord, PairedColumns, ReadColumns
 
 __all__ = [
     "EngineHealth",
@@ -596,20 +596,22 @@ class ParallelStarAligner:
 
     def run_paired(
         self,
-        mate1: ReadColumns | list[FastqRecord],
-        mate2: ReadColumns | list[FastqRecord],
+        mate1: ReadColumns | list[FastqRecord] | Iterable,
+        mate2: ReadColumns | list[FastqRecord] | None = None,
         *,
+        reads_total: int | None = None,
         monitor: ProgressMonitorHook | None = None,
         clock: Callable[[], float] = time.monotonic,
         checkpoint=None,
     ) -> PairedRunResult:
-        """Parallel equivalent of :meth:`PairedStarAligner.run`."""
-        pairs = PairedColumns(as_columns(mate1), as_columns(mate2))
+        """Parallel equivalent of :meth:`PairedStarAligner.run` (same
+        signature, including the lazy pair feed)."""
+        feed, total = column_feed(mate1, reads_total, mate2)
         return run_shards(
             PairedEndCodec(self._local_paired_aligner()),
-            [pairs],
-            total=len(pairs),
-            shard=self._shard_size(len(pairs)),
+            feed,
+            total=total,
+            shard=self._shard_size(total),
             executor=lambda payloads: self._ordered_results(
                 _align_batch_paired, payloads
             ),

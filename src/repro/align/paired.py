@@ -12,7 +12,7 @@ GeneCounts`` on paired data.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import time
@@ -25,7 +25,7 @@ from repro.align.star import (
     StarAligner,
 )
 from repro.genome.annotation import Strand
-from repro.reads.fastq import FastqRecord, PairedColumns, ReadColumns, as_columns
+from repro.reads.fastq import FastqRecord, ReadColumns
 from repro.util.validation import check_positive
 
 
@@ -197,9 +197,10 @@ class PairedStarAligner:
 
     def run(
         self,
-        mate1: ReadColumns | list[FastqRecord],
-        mate2: ReadColumns | list[FastqRecord],
+        mate1: ReadColumns | list[FastqRecord] | Iterable,
+        mate2: ReadColumns | list[FastqRecord] | None = None,
         *,
+        reads_total: int | None = None,
         monitor: Callable[[ProgressRecord], bool] | None = None,
         clock: Callable[[], float] = time.monotonic,
         checkpoint=None,
@@ -210,16 +211,19 @@ class PairedStarAligner:
         the single-end driver, so :class:`~repro.core.early_stopping.
         EarlyStopMonitor` plugs in unchanged.  Both mates (columns, or
         record lists converted on entry) go through the batch core in
-        ``align_batch_size`` groups; ``checkpoint`` turns on shard
+        ``align_batch_size`` groups.  When ``reads_total`` is given,
+        ``mate1`` is instead a lazy feed of
+        :class:`~repro.reads.fastq.PairedColumns` chunks (e.g. a streamed
+        download) and ``mate2`` is None.  ``checkpoint`` turns on shard
         checkpoints (see :func:`repro.align.runner.run_shards`).
         """
-        from repro.align.runner import PairedEndCodec, run_shards
+        from repro.align.runner import PairedEndCodec, column_feed, run_shards
 
-        pairs = PairedColumns(as_columns(mate1), as_columns(mate2))
+        feed, total = column_feed(mate1, reads_total, mate2)
         return run_shards(
             PairedEndCodec(self),
-            [pairs],
-            total=len(pairs),
+            feed,
+            total=total,
             shard=self.aligner.parameters.align_batch_size,
             hold_back=False,
             monitor=monitor,

@@ -144,16 +144,21 @@ def _iter_shards(
     yield held
 
 
-def column_feed(reads, total: int | None) -> tuple[Iterable, int]:
+def column_feed(reads, total: int | None, mate2=None) -> tuple[Iterable, int]:
     """A run's reads as the runner's chunk feed, with the read total.
 
-    Without ``total``, ``reads`` is one batch — columns, or a record
-    list converted here, once.  With it, ``reads`` is already a lazy feed
-    of column chunks (a streamed download) and passes through untouched.
+    Without ``total``, ``reads`` is one batch — columns, a record list
+    converted here, once (both mates' when ``mate2`` is given), or
+    :class:`~repro.reads.fastq.PairedColumns`.  With it, ``reads`` is
+    already a lazy feed of column chunks (a streamed download) and
+    passes through untouched.
     """
     if total is not None:
         return reads, total
-    reads = as_columns(reads)
+    if mate2 is not None:
+        reads = PairedColumns(as_columns(reads), as_columns(mate2))
+    elif not isinstance(reads, PairedColumns):
+        reads = as_columns(reads)
     return [reads], len(reads)
 
 

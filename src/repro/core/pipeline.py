@@ -20,10 +20,10 @@ submission order.
 
 The steps themselves are :class:`~repro.core.stages.Stage` objects (see
 :mod:`repro.core.stages`); this module supplies the harness around them
-— retries, journaling, timing, drain — and the
-:class:`BatchOptions`-driven batch loop, including the streaming
-stage-overlapped execution shape (``BatchOptions(streaming=True)``,
-implemented in :mod:`repro.core.streaming`).
+— retries, journaling, timing, drain — and the one batch runner behind
+``run_batch``: ``max_parallel`` consumers run each accession through the
+same body, and ``BatchOptions(streaming=True)`` only swaps the read
+source for a streamed download (:mod:`repro.core.streaming`).
 
 This class is the *local* (workstation/HPC) embodiment the paper's
 conclusions mention; :mod:`repro.core.atlas` embeds the same step
@@ -65,12 +65,13 @@ from repro.core.resilience import (
     run_with_retry,
 )
 from repro.core.stages import (
+    AlignStage,
     Deseq2Stage,
+    DumpedReads,
     PipelineHealth,
-    Stage,
     StageContext,
-    default_stages,
 )
+from repro.core.streaming import StreamedReads
 from repro.quant.matrix import CountMatrix
 from repro.reads.sra import SraRepository
 from repro.reads.trim import TrimConfig, TrimStats
@@ -200,22 +201,21 @@ class PipelineConfig:
 class BatchOptions:
     """Everything that shapes one ``run_batch`` call.
 
-    Consolidates the former kwarg pile (``journal=``, ``resume=``,
-    ``max_parallel=``, drain deadline, align batch size) into one
-    validated bundle, and adds the streaming execution shape.  None of
-    these affect *outputs* (they are execution shape, deliberately
-    excluded from the journal's config fingerprint) — a batch run with
-    any options resumes a journal written with any other.
+    One validated bundle; every option lives for one ``run_batch`` call
+    only.  None of these affect *outputs* (they are execution shape,
+    deliberately excluded from the journal's config fingerprint) — a
+    batch run with any options resumes a journal written with any other.
     """
 
-    #: accessions processed concurrently by a thread pool (sequential
-    #: shape only; streaming overlaps stages instead of accessions)
+    #: accessions processed concurrently (consumer threads; the caller's
+    #: thread is one of them)
     max_parallel: int = 1
     #: path or RunJournal making the batch crash-consistent
     journal: RunJournal | Path | str | None = None
     #: replay the journal's terminal records instead of re-running them
     resume: bool = False
-    #: overlap download/decode/align via the streaming DAG
+    #: read source: stream each download into the align stage instead of
+    #: writing the ``.sra``/FASTQ files first (see repro.core.streaming)
     streaming: bool = False
     #: accessions downloaded ahead of the one being aligned (streaming)
     prefetch_depth: int = 1
@@ -257,23 +257,8 @@ class BatchOptions:
                     f"backend must be one of {BACKEND_CHOICES}, "
                     f"got {self.backend!r}"
                 )
-            if self.backend == "faas" and self.streaming:
-                raise ValueError(
-                    "backend='faas' needs the materialized align path; "
-                    "streaming consumes reads as they arrive"
-                )
         if self.shard_checkpoints and self.journal is None:
             raise ValueError("shard_checkpoints requires a journal")
-        if self.shard_checkpoints and self.streaming:
-            raise ValueError(
-                "shard_checkpoints needs the materialized align path; "
-                "streaming consumes reads as they arrive"
-            )
-        if self.streaming and self.max_parallel > 1:
-            raise ValueError(
-                "streaming overlaps stages, not accessions: it requires "
-                "max_parallel == 1"
-            )
         if self.prefetch_depth < 0:
             raise ValueError("prefetch_depth must be >= 0")
         if self.chunk_reads < 1:
@@ -294,10 +279,9 @@ class StepHarness:
 
     ``attempt(step_key, timing_key, fn)`` runs ``fn`` under the retry
     policy, accumulates wall clock into ``timings[timing_key]``, journals
-    the step-done record, and feeds the stage-health counters.  Bodies
-    (the sequential stage loop, the streaming consumer) only ever go
-    through ``attempt`` so every execution shape shares identical
-    failure semantics.
+    the step-done record, and feeds the stage-health counters.  The
+    batch body and both read sources only ever go through ``attempt``,
+    so every step shares identical failure semantics.
     """
 
     accession: str
@@ -336,34 +320,26 @@ class TranscriptomicsAtlasPipeline:
         self._results_lock = threading.Lock()
         self._drain = threading.Event()
         self._drain_deadline_at: float | None = None
-        #: per-batch overrides installed by run_batch from BatchOptions
-        self._drain_deadline_base: float | None = None
-        self._align_batch_override: int | None = None
-        self._backend_override: str | None = None
         #: the serverless backend, created on first use and kept for the
         #: pipeline's lifetime so warm containers persist across
         #: accessions (the FaaS analogue of the engine's shared index)
         self._faas_backend = None
-        #: shard-checkpoint state for the current batch:
-        #: (journal, replayed align_shards by accession, fingerprint)
-        self._shard_ckpt_state: tuple | None = None
-        #: checkpointers created this batch (for rework accounting)
+        #: the run_batch call in progress (its drain deadline applies)
+        self._batch: BatchRunner | None = None
+        #: the last batch's shard checkpointers (for rework accounting)
         self._shard_ckpts: list = []
 
     # -- parallel engine lifecycle -------------------------------------------
 
-    def _align_batch_size(self) -> int | None:
-        """Reads per alignment shard: the batch's override, else the config."""
-        if self._align_batch_override is not None:
-            return self._align_batch_override
-        return self.config.align_batch_size
-
-    def _get_engine(self) -> ParallelStarAligner | None:
+    def _get_engine(
+        self, batch_size: int | None = None
+    ) -> ParallelStarAligner | None:
         """The shared alignment engine (None when ``config.workers == 1``).
 
         Created on first use and kept for the pipeline's lifetime so the
         shared-memory index publication and worker pool are paid once,
-        not per accession.  Thread-safe for parallel ``run_batch``.
+        not per accession; ``batch_size`` (None: the config's) is its
+        shard size from then on.  Thread-safe for parallel ``run_batch``.
         """
         if self.config.workers <= 1:
             return None
@@ -373,17 +349,18 @@ class TranscriptomicsAtlasPipeline:
                     self.aligner.index,
                     self.aligner.parameters,
                     workers=self.config.workers,
-                    batch_size=self._align_batch_size(),
+                    batch_size=batch_size or self.config.align_batch_size,
                 ).start()
             return self._engine
 
-    def _get_faas_backend(self):
+    def _get_faas_backend(self, batch_size: int | None = None):
         """The shared serverless backend (``BatchOptions(backend="faas")``).
 
         Created on first use and kept for the pipeline's lifetime so the
         simulated warm-container pool carries across accessions — the
         FaaS analogue of keeping the engine's shared-memory index alive.
-        Thread-safe for parallel ``run_batch``.
+        ``batch_size`` works as in :meth:`_get_engine`.  Thread-safe for
+        parallel ``run_batch``.
         """
         with self._engine_lock:
             if self._faas_backend is None:
@@ -391,7 +368,7 @@ class TranscriptomicsAtlasPipeline:
 
                 self._faas_backend = FaasAlignerBackend(
                     self.aligner,
-                    batch_size=self._align_batch_size(),
+                    batch_size=batch_size or self.config.align_batch_size,
                 )
             return self._faas_backend
 
@@ -413,7 +390,8 @@ class TranscriptomicsAtlasPipeline:
         """Stop admitting new accessions; bound in-flight work.
 
         Batch loops stop picking up accessions immediately.  Accessions
-        already executing keep running for ``deadline`` seconds (default
+        already executing keep running for ``deadline`` seconds (default:
+        the running batch's ``BatchOptions.drain_deadline``, else
         ``config.drain_deadline``), after which their alignment is
         aborted at the next progress checkpoint and the result is marked
         ``DRAINED`` — journaled as non-terminal, so a resumed run
@@ -421,13 +399,11 @@ class TranscriptomicsAtlasPipeline:
         handlers and other threads.
         """
         if not self._drain.is_set():
-            if deadline is not None:
-                budget = deadline
-            elif self._drain_deadline_base is not None:
-                budget = self._drain_deadline_base
-            else:
-                budget = self.config.drain_deadline
-            self._drain_deadline_at = time.monotonic() + budget
+            if deadline is None and self._batch is not None:
+                deadline = self._batch.options.drain_deadline
+            if deadline is None:
+                deadline = self.config.drain_deadline
+            self._drain_deadline_at = time.monotonic() + deadline
             self._drain.set()
 
     def _drain_expired(self) -> bool:
@@ -460,194 +436,12 @@ class TranscriptomicsAtlasPipeline:
     # -- single accession --------------------------------------------------
 
     def run_accession(self, accession: str) -> PipelineResult:
-        """Execute all four steps for one accession."""
-        result = self._execute_accession(accession)
+        """Execute all four steps for one accession (no journal; the
+        config's backend and shard size)."""
+        result = BatchRunner(self, BatchOptions()).execute(accession)
         with self._results_lock:
             self.results.append(result)
         return result
-
-    def _execute_accession(
-        self, accession: str, journal: RunJournal | None = None
-    ) -> PipelineResult:
-        """All four steps, without touching shared pipeline state.
-
-        Never raises: a step that exhausts its retry policy (or any
-        unexpected internal error) is converted to a ``FAILED`` result
-        carrying a :class:`FailureRecord`, so batch runs keep every
-        other accession's work.
-
-        With a ``journal``, every state transition is durably appended
-        *before* the pipeline moves on: ``started`` ahead of the first
-        step, ``step-done`` after each step's retries settle, and a
-        terminal ``completed``/``failed`` (or non-terminal ``drained``)
-        record carrying everything resume needs to replay the result.
-        """
-        return self._run_guarded(accession, journal, self._run_steps)
-
-    def _run_guarded(
-        self,
-        accession: str,
-        journal: RunJournal | None,
-        body: Callable[[StepHarness], PipelineResult],
-        *,
-        rng: np.random.Generator | None = None,
-    ) -> PipelineResult:
-        """Run ``body`` under the retry/journal/failure harness.
-
-        Builds the :class:`StepHarness` (workspace dir, timing buckets,
-        retry accounting, the per-accession jitter rng — callers that
-        pre-draw from the stream, like the streaming downloader, pass
-        their ``rng`` in) and converts any escaped :class:`StepFailed`
-        or unexpected exception into a ``FAILED`` result.  Both the
-        sequential stage loop and the streaming consumer execute through
-        here, so every shape shares identical failure semantics.
-        """
-        cfg = self.config
-        work = self.workspace / accession
-        work.mkdir(parents=True, exist_ok=True)
-        if rng is None:
-            rng = derive_rng(cfg.retry_seed, f"retry:{accession}")
-        timings = {"prefetch": 0.0, "fasterq_dump": 0.0, "star": 0.0}
-        retries = {"n": 0}
-        state = {"paired": False, "fastq_bytes": 0}
-
-        def on_retry(step: str, attempt: int, exc: BaseException, delay: float):
-            retries["n"] += 1
-            self.retry_ledger.record(step)
-
-        def attempt(step: str, timing_key: str, fn):
-            started = time.monotonic()
-            try:
-                value = run_with_retry(
-                    fn,
-                    policy=cfg.retry,
-                    step=step,
-                    key=accession,
-                    rng=rng,
-                    on_retry=on_retry,
-                )
-            finally:
-                elapsed = time.monotonic() - started
-                timings[timing_key] += elapsed
-                self.stage_health.stage(step).record(items=1, busy=elapsed)
-            if journal is not None:
-                journal.record_step_done(accession, step)
-            return value
-
-        harness = StepHarness(
-            accession=accession,
-            work=work,
-            attempt=attempt,
-            state=state,
-            timings=timings,
-            retries=retries,
-            journal=journal,
-            rng=rng,
-        )
-        if journal is not None:
-            journal.record_started(accession)
-        try:
-            result = body(harness)
-            self._journal_terminal(journal, result)
-            return result
-        except StepFailed as exc:
-            failure = exc.record
-        except Exception as exc:  # defensive: isolate unexpected errors too
-            failure = FailureRecord(
-                step="internal",
-                key=accession,
-                attempts=1,
-                elapsed_seconds=0.0,
-                error=repr(exc),
-                error_chain=[repr(exc)],
-            )
-        result = PipelineResult(
-            accession=accession,
-            status=RunStatus.FAILED,
-            timing=StepTiming(**timings),
-            star_result=None,
-            fastq_bytes=state["fastq_bytes"],
-            paired=state["paired"],
-            failure=failure,
-            retries=retries["n"],
-            streamed=bool(state.get("streamed", False)),
-            download_bytes_total=int(state.get("download_bytes_total", 0)),
-            download_bytes_saved=int(state.get("download_bytes_saved", 0)),
-        )
-        self._journal_terminal(journal, result)
-        return result
-
-    @staticmethod
-    def _journal_terminal(
-        journal: RunJournal | None, result: PipelineResult
-    ) -> None:
-        if journal is None:
-            return
-        if result.status is RunStatus.DRAINED:
-            journal.record_drained(result.accession)
-        elif result.status is RunStatus.FAILED:
-            journal.record_failed(result.accession, _result_payload(result))
-        else:
-            journal.record_completed(result.accession, _result_payload(result))
-
-    def _accession_stages(self) -> list[Stage]:
-        """The per-accession stage DAG (override point for subclasses)."""
-        return default_stages()
-
-    def _run_steps(self, harness: StepHarness) -> PipelineResult:
-        """The happy path: run the stage DAG in order, then classify."""
-        ctx = StageContext(
-            pipeline=self,
-            accession=harness.accession,
-            work=harness.work,
-            state=harness.state,
-        )
-        for stage in self._accession_stages():
-            stage.prepare(ctx)
-            harness.attempt(
-                stage.step_key,
-                stage.timing_key,
-                lambda stage=stage: stage.run(ctx),
-            )
-        return self._classify(ctx, harness)
-
-    def _classify(
-        self, ctx: StageContext, harness: StepHarness
-    ) -> PipelineResult:
-        """Terminal status + result assembly for a completed stage run."""
-        cfg = self.config
-        star_result = ctx.star_result
-        if ctx.drain_hit:
-            status = RunStatus.DRAINED
-        elif star_result.aborted:
-            status = RunStatus.REJECTED_EARLY
-        elif (
-            cfg.acceptance_threshold is not None
-            and star_result.mapped_fraction < cfg.acceptance_threshold
-        ):
-            status = RunStatus.REJECTED_FINAL
-        else:
-            status = RunStatus.ACCEPTED
-
-        counts = None
-        if status.produced_counts and star_result.gene_counts is not None:
-            counts = star_result.gene_counts.column_vector(cfg.counts_column)
-
-        state = harness.state
-        return PipelineResult(
-            accession=harness.accession,
-            status=status,
-            timing=StepTiming(**harness.timings),
-            star_result=star_result,
-            fastq_bytes=state["fastq_bytes"],
-            counts=counts,
-            trim_stats=ctx.trim_stats,
-            paired=ctx.paired,
-            retries=harness.retries["n"],
-            streamed=bool(state.get("streamed", False)),
-            download_bytes_total=int(state.get("download_bytes_total", 0)),
-            download_bytes_saved=int(state.get("download_bytes_saved", 0)),
-        )
 
     def run_batch(
         self,
@@ -657,19 +451,19 @@ class TranscriptomicsAtlasPipeline:
         """Run several accessions (one instance's view).
 
         Execution shape is configured through ``options`` (a
-        :class:`BatchOptions`; defaults when None).
-
-        ``max_parallel > 1`` overlaps accessions with a thread pool: the
-        prefetch/dump steps are I/O-shaped and the alignment step hands
-        its CPU work to the engine's worker *processes*, so threads only
-        coordinate.  ``streaming=True`` instead overlaps *stages* of
-        consecutive accessions — the next accession's download streams
-        into a bounded chunk queue while the current one aligns (see
-        :mod:`repro.core.streaming`) — with byte-identical results.  A
-        failure is a ``FAILED`` result, never an exception, so one
-        accession cannot drop another's work; the returned list and
-        ``self.results`` keep submission order regardless of completion
-        order, so downstream count matrices are reproducible.
+        :class:`BatchOptions`; defaults when None) and lasts for this
+        call only.  ``max_parallel`` consumers take pending accessions
+        in submission order and run each through one body (see
+        :class:`BatchRunner`): the prefetch/dump steps are I/O-shaped
+        and the alignment step hands its CPU work to the engine's worker
+        *processes*, so threads only coordinate.  ``streaming=True``
+        swaps the read source: each download streams into a bounded
+        chunk queue that its consumer aligns from while the downloader
+        moves on (see :mod:`repro.core.streaming`) — with byte-identical
+        results.  A failure is a ``FAILED`` result, never an exception,
+        so one accession cannot drop another's work; the returned list
+        and ``self.results`` keep submission order regardless of
+        completion order, so downstream count matrices are reproducible.
 
         ``journal`` (a path or :class:`RunJournal`) makes the batch
         crash-consistent: every accession's step transitions are durably
@@ -682,8 +476,8 @@ class TranscriptomicsAtlasPipeline:
         matrices versus an uninterrupted run.  A journal written by a
         pipeline whose output-affecting config differs raises
         :class:`~repro.core.journal.JournalIncompatible`.  Execution
-        shape is *not* fingerprinted: streamed and sequential runs
-        resume each other's journals freely.
+        shape is *not* fingerprinted: streamed and dumped runs resume
+        each other's journals (and shard checkpoints) freely.
 
         Under a drain request (:meth:`request_drain`), accessions not
         yet started are skipped — the returned list then covers only
@@ -692,6 +486,13 @@ class TranscriptomicsAtlasPipeline:
         """
         if options is None:
             options = BatchOptions()
+        if options.streaming and self.config.trim is not None:
+            # trimming drops reads, which changes reads_total — and with
+            # it the early-stop decisions — after the stream has started
+            raise ValueError(
+                "streaming does not support read trimming: reads are "
+                "consumed as they arrive, before the full set exists"
+            )
         run_journal: RunJournal | None = None
         if options.journal is not None:
             run_journal = (
@@ -718,60 +519,18 @@ class TranscriptomicsAtlasPipeline:
                 replayed_shards = replay.align_shards
             run_journal.record_batch_start(list(accessions), fingerprint)
 
-        self._drain_deadline_base = options.drain_deadline
-        self._align_batch_override = options.align_batch_size
-        self._backend_override = options.backend
-        self._shard_ckpts = []
-        self._shard_ckpt_state = (
-            (run_journal, replayed_shards, fingerprint)
-            if options.shard_checkpoints and run_journal is not None
-            else None
+        runner = BatchRunner(
+            self, options, run_journal, replayed_shards, fingerprint
         )
-
-        pending = [a for a in accessions if a not in replayed]
-        results_map: dict[str, PipelineResult] = dict(replayed)
-        map_lock = threading.Lock()
-
-        if options.streaming:
-            if self.config.trim is not None:
-                raise ValueError(
-                    "streaming does not support read trimming: records are "
-                    "consumed as they arrive, before the full set exists"
-                )
-            from repro.core.streaming import StreamedBatchRunner
-
-            executed = StreamedBatchRunner(self, options).run(
-                pending, run_journal
+        self._shard_ckpts = runner.checkpointers
+        self._batch = runner
+        try:
+            executed = runner.run(
+                [a for a in accessions if a not in replayed]
             )
-            results_map.update(executed)
-        elif options.max_parallel == 1 or len(pending) <= 1:
-            for accession in pending:
-                if self._drain.is_set():
-                    break
-                results_map[accession] = self._execute_accession(
-                    accession, journal=run_journal
-                )
-        else:
-            cursor = iter(pending)
-
-            def worker() -> None:
-                while not self._drain.is_set():
-                    with map_lock:
-                        accession = next(cursor, None)
-                    if accession is None:
-                        return
-                    result = self._execute_accession(
-                        accession, journal=run_journal
-                    )
-                    with map_lock:
-                        results_map[accession] = result
-
-            n_workers = min(options.max_parallel, len(pending))
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                futures = [pool.submit(worker) for _ in range(n_workers)]
-                for future in futures:
-                    future.result()
-
+        finally:
+            self._batch = None
+        results_map = {**replayed, **executed}
         results = [results_map[a] for a in accessions if a in results_map]
         with self._results_lock:
             self.results.extend(results)
@@ -805,28 +564,6 @@ class TranscriptomicsAtlasPipeline:
         )
         if done:
             collect()
-
-    def _shard_checkpointer(self, accession: str):
-        """Build the align-shard checkpointer for one accession.
-
-        None unless the current batch enabled ``shard_checkpoints`` —
-        :class:`~repro.core.stages.AlignStage` calls this per attempt so
-        a retried alignment reuses shards the failed attempt already
-        journaled (the cached dict is shared across attempts).
-        """
-        if self._shard_ckpt_state is None:
-            return None
-        from repro.core.replication import ShardCheckpointer
-
-        run_journal, shards, fingerprint = self._shard_ckpt_state
-        ckpt = ShardCheckpointer(
-            run_journal,
-            accession,
-            fingerprint,
-            shards.setdefault(accession, {}),
-        )
-        self._shard_ckpts.append(ckpt)
-        return ckpt
 
     def shard_checkpoint_summary(self) -> dict[str, int]:
         """Rework accounting for the last batch: shards replayed from the
@@ -866,6 +603,242 @@ class TranscriptomicsAtlasPipeline:
     def retries_by_step(self) -> dict[str, int]:
         """Retry counts bucketed by step name (prefetch/fasterq_dump/align)."""
         return self.retry_ledger.by_step()
+
+
+# --------------------------------------------------------------------------
+# the batch runner
+# --------------------------------------------------------------------------
+
+
+class BatchRunner:
+    """One ``run_batch`` call: its options, journal and shard checkpoints.
+
+    Everything a batch's :class:`BatchOptions` change lives here, so none
+    of it outlives the batch.  :meth:`run` admits pending accessions to
+    ``max_parallel`` consumers (the caller's thread and
+    ``max_parallel - 1`` helper threads); each consumer runs
+    :meth:`execute` — the one body — per accession.  The read source is
+    the only thing ``streaming`` changes:
+    :class:`~repro.core.stages.DumpedReads`, or
+    :class:`~repro.core.streaming.StreamedReads`.
+    """
+
+    def __init__(
+        self,
+        pipeline: TranscriptomicsAtlasPipeline,
+        options: BatchOptions,
+        journal: RunJournal | None = None,
+        replayed_shards: dict[str, dict] | None = None,
+        fingerprint: str | None = None,
+    ) -> None:
+        self.pipeline = pipeline
+        self.options = options
+        self.journal = journal
+        #: reads per alignment shard: the batch's, else the config's
+        self.align_batch_size = (
+            options.align_batch_size
+            if options.align_batch_size is not None
+            else pipeline.config.align_batch_size
+        )
+        self._shards = (
+            (replayed_shards or {}, fingerprint)
+            if options.shard_checkpoints and journal is not None
+            else None
+        )
+        #: checkpointers created this batch (for rework accounting)
+        self.checkpointers: list = []
+        self.source = (
+            StreamedReads(pipeline, options) if options.streaming else DumpedReads()
+        )
+
+    def run(self, pending: list[str]) -> dict[str, PipelineResult]:
+        """Run ``pending`` accessions; returns results keyed by accession.
+
+        A drain request stops admission before each consumer's next
+        accession; in-flight ones are bounded by the drain deadline.
+        """
+        pipeline = self.pipeline
+        results: dict[str, PipelineResult] = {}
+        cursor = iter(pending)
+        lock = threading.Lock()
+
+        def consume() -> None:
+            while not pipeline._drain.is_set():
+                with lock:
+                    accession = next(cursor, None)
+                if accession is None:
+                    return
+                result = self.execute(accession)
+                with lock:
+                    results[accession] = result
+
+        helpers = min(self.options.max_parallel, len(pending)) - 1
+        with self.source.running(pending):
+            with ThreadPoolExecutor(max_workers=max(1, helpers)) as pool:
+                futures = [pool.submit(consume) for _ in range(helpers)]
+                consume()
+                for future in futures:
+                    future.result()
+        return results
+
+    def execute(self, accession: str) -> PipelineResult:
+        """One accession under the retry/journal/failure harness.
+
+        Never raises: a step that exhausts its retry policy (or any
+        unexpected internal error) becomes a ``FAILED`` result carrying
+        a :class:`FailureRecord`, so one accession cannot drop another's
+        work.  With a journal, every state transition is durably
+        appended *before* the pipeline moves on: ``started`` ahead of
+        the first step, ``step-done`` after each step's retries settle,
+        and a terminal ``completed``/``failed`` (or non-terminal
+        ``drained``) record carrying everything resume needs to replay
+        the result.
+        """
+        pipeline, journal = self.pipeline, self.journal
+        cfg = pipeline.config
+        work = pipeline.workspace / accession
+        work.mkdir(parents=True, exist_ok=True)
+
+        def on_retry(step: str, attempt: int, exc: BaseException, delay: float):
+            harness.retries["n"] += 1
+            pipeline.retry_ledger.record(step)
+
+        def attempt(step: str, timing_key: str, fn):
+            started = time.monotonic()
+            try:
+                value = run_with_retry(
+                    fn,
+                    policy=cfg.retry,
+                    step=step,
+                    key=accession,
+                    rng=harness.rng,
+                    on_retry=on_retry,
+                )
+            finally:
+                elapsed = time.monotonic() - started
+                harness.timings[timing_key] += elapsed
+                pipeline.stage_health.stage(step).record(items=1, busy=elapsed)
+            if journal is not None:
+                journal.record_step_done(accession, step)
+            return value
+
+        harness = StepHarness(
+            accession=accession,
+            work=work,
+            attempt=attempt,
+            state={"paired": False, "fastq_bytes": 0},
+            timings={"prefetch": 0.0, "fasterq_dump": 0.0, "star": 0.0},
+            retries={"n": 0},
+            journal=journal,
+            rng=derive_rng(cfg.retry_seed, f"retry:{accession}"),
+        )
+        if journal is not None:
+            journal.record_started(accession)
+        try:
+            result = self._body(harness)
+            self._journal_terminal(result)
+            return result
+        except StepFailed as exc:
+            failure = exc.record
+        except Exception as exc:  # defensive: isolate unexpected errors too
+            failure = FailureRecord(
+                step="internal",
+                key=accession,
+                attempts=1,
+                elapsed_seconds=0.0,
+                error=repr(exc),
+                error_chain=[repr(exc)],
+            )
+        result = self._result(harness, RunStatus.FAILED, None, failure=failure)
+        self._journal_terminal(result)
+        return result
+
+    def _body(self, harness: StepHarness) -> PipelineResult:
+        """Reads from the source, then the align stage, then classify."""
+        ctx = StageContext(
+            pipeline=self.pipeline,
+            accession=harness.accession,
+            work=harness.work,
+            state=harness.state,
+            batch=self,
+        )
+        align = AlignStage()
+        with self.source.reads(ctx, harness):
+            align.prepare(ctx)
+            harness.attempt(
+                align.step_key, align.timing_key, lambda: align.run(ctx)
+            )
+        cfg = self.pipeline.config
+        star_result = ctx.star_result
+        if ctx.drain_hit:
+            status = RunStatus.DRAINED
+        elif star_result.aborted:
+            status = RunStatus.REJECTED_EARLY
+        elif (
+            cfg.acceptance_threshold is not None
+            and star_result.mapped_fraction < cfg.acceptance_threshold
+        ):
+            status = RunStatus.REJECTED_FINAL
+        else:
+            status = RunStatus.ACCEPTED
+        counts = None
+        if status.produced_counts and star_result.gene_counts is not None:
+            counts = star_result.gene_counts.column_vector(cfg.counts_column)
+        return self._result(
+            harness, status, star_result, counts=counts, trim_stats=ctx.trim_stats
+        )
+
+    @staticmethod
+    def _result(
+        harness: StepHarness, status: RunStatus, star_result, **fields
+    ) -> PipelineResult:
+        state = harness.state
+        return PipelineResult(
+            accession=harness.accession,
+            status=status,
+            timing=StepTiming(**harness.timings),
+            star_result=star_result,
+            fastq_bytes=state["fastq_bytes"],
+            paired=state["paired"],
+            retries=harness.retries["n"],
+            streamed=bool(state.get("streamed", False)),
+            download_bytes_total=int(state.get("download_bytes_total", 0)),
+            download_bytes_saved=int(state.get("download_bytes_saved", 0)),
+            **fields,
+        )
+
+    def _journal_terminal(self, result: PipelineResult) -> None:
+        journal = self.journal
+        if journal is None:
+            return
+        if result.status is RunStatus.DRAINED:
+            journal.record_drained(result.accession)
+        elif result.status is RunStatus.FAILED:
+            journal.record_failed(result.accession, _result_payload(result))
+        else:
+            journal.record_completed(result.accession, _result_payload(result))
+
+    def checkpointer(self, accession: str):
+        """The align-shard checkpointer for one accession.
+
+        None unless the batch enabled ``shard_checkpoints`` —
+        :class:`~repro.core.stages.AlignStage` calls this per attempt so
+        a retried alignment reuses shards the failed attempt already
+        journaled (the cached dict is shared across attempts).
+        """
+        if self._shards is None:
+            return None
+        from repro.core.replication import ShardCheckpointer
+
+        shards, fingerprint = self._shards
+        ckpt = ShardCheckpointer(
+            self.journal,
+            accession,
+            fingerprint,
+            shards.setdefault(accession, {}),
+        )
+        self.checkpointers.append(ckpt)
+        return ckpt
 
 
 # --------------------------------------------------------------------------

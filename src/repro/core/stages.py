@@ -1,38 +1,40 @@
 """Composable pipeline stages and the per-stage metrics layer.
 
 The pipeline's four steps — ``prefetch``, ``fasterq-dump``, STAR
-alignment, DESeq2 normalization — used to live as special-cased branches
-inside ``TranscriptomicsAtlasPipeline._run_steps``.  This module lifts
-them into uniform :class:`Stage` objects so both execution shapes share
-one definition:
+alignment, DESeq2 normalization — are uniform :class:`Stage` objects.
+``run_batch`` runs every accession through one body: a *read source*
+puts the accession's reads on the context, then :class:`AlignStage`
+aligns them, each ``run`` wrapped in the pipeline's retry/journal
+harness.  ``BatchOptions.streaming`` only picks the read source:
 
-* the **sequential** path runs :func:`default_stages` in order, each
-  ``run`` wrapped in the pipeline's retry/journal harness;
-* the **streaming** path (:mod:`repro.core.streaming`) runs the
-  prefetch/dump work in a downloader thread and reuses
-  :class:`AlignStage` over a live :class:`~repro.align.backend.ReadChunkStream`.
+* :class:`DumpedReads` (the default) runs :class:`PrefetchStage` and
+  :class:`FasterqDumpStage` in the consumer, writing the paper's
+  ``.sra`` and FASTQ files, and hands over one whole-accession chunk;
+* :class:`~repro.core.streaming.StreamedReads` runs the download in a
+  downloader thread and hands over a live
+  :class:`~repro.align.backend.ReadChunkStream`.
 
-Back-compat is strict: every stage's ``step_key`` is the FaultPlan /
-journal / failure-record step name that existed before the refactor
-(``prefetch`` / ``fasterq_dump`` / ``align``), so scripted fault plans
-(``step:key:kind``), journal replay, and retry ledgers keep working
-unchanged.
+Every stage's ``step_key`` is the FaultPlan / journal / failure-record
+step name (``prefetch`` / ``fasterq_dump`` / ``align``), so scripted
+fault plans (``step:key:kind``), journal replay, and retry ledgers use
+one vocabulary on both read sources.
 
 :class:`StageMetrics` / :class:`PipelineHealth` are the
-``EngineHealth``-style counters for the streaming DAG: per-stage
-throughput, busy/stall seconds, and queue occupancy, plus the
-download-bytes-saved accounting that early-stopped streams produce.
+``EngineHealth``-style counters for the stages: per-stage throughput,
+busy/stall seconds, and queue occupancy, plus the download-bytes-saved
+accounting that early-stopped streams produce.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
-from repro.align.backend import ReadBatch, ReadChunkStream, resolve_backend
+from repro.align.backend import ReadChunkStream, resolve_backend
 from repro.core.early_stopping import EarlyStopMonitor
 from repro.quant.deseq2 import estimate_size_factors, normalize_counts
 from repro.reads.sra import prefetch, run_fasterq_dump
@@ -44,6 +46,7 @@ if TYPE_CHECKING:
 __all__ = [
     "AlignStage",
     "Deseq2Stage",
+    "DumpedReads",
     "FasterqDumpStage",
     "PipelineHealth",
     "PrefetchStage",
@@ -62,28 +65,31 @@ class StageContext:
     (duck-typed to keep this module import-light); stages read its
     config/repository/aligner and write their products back here.
     ``state`` is the pipeline's per-accession accounting dict (survives
-    into FAILED results, unlike this context).
+    into FAILED results, unlike this context).  ``batch`` is the
+    :class:`~repro.core.pipeline.BatchRunner` executing the accession
+    (its backend, shard size and shard checkpoints).
     """
 
     pipeline: Any
     accession: str
     work: Path
     state: dict
+    batch: Any
     #: products, populated as stages run
     sra_path: Path | None = None
     paired: bool = False
     fastq_path: Path | None = None
     fastq_path_2: Path | None = None
-    #: a ReadBatch (sequential) or ReadChunkStream (streaming)
-    reads: Any | None = None
+    #: the accession's reads, as a ReadChunkStream
+    reads: ReadChunkStream | None = None
     trim_stats: Any | None = None
     backend: Any | None = None
     out_dir: Path | None = None
     star_result: Any | None = None
     #: set when the drain deadline aborted the alignment (→ DRAINED)
     drain_hit: bool = False
-    #: streaming hook: called with the triggering progress record when
-    #: the alignment aborts (early stop or drain) — cancels the download
+    #: read-source hook: called with the triggering progress record when
+    #: the alignment aborts (early stop or drain) — cancels a download
     on_align_abort: Callable[[ProgressRecord], None] | None = None
 
 
@@ -155,27 +161,23 @@ class FasterqDumpStage:
         dump = run_fasterq_dump(ctx.sra_path, ctx.work, fault_plan=cfg.fault_plan)
         ctx.fastq_path = dump.paths[0]
         ctx.fastq_path_2 = dump.paths[1] if len(dump.paths) > 1 else None
-        ctx.reads = (
-            ReadBatch(dump.reads.mate1, dump.reads.mate2)
-            if ctx.paired
-            else ReadBatch(dump.reads)
-        )
+        ctx.reads = ReadChunkStream.whole(dump.reads)
         ctx.state["fastq_bytes"] = sum(p.stat().st_size for p in dump.paths)
 
 
 class AlignStage:
     """Step 3: STAR alignment through the resolved backend.
 
-    The reads are already on ``ctx.reads``: a
-    :class:`~repro.align.backend.ReadBatch` of the columns the
-    ``fasterq-dump`` stage decoded, or the streaming runner's
-    :class:`~repro.align.backend.ReadChunkStream`.  ``prepare`` trims
-    them when configured (single-end batches only; trimming works on
-    records), consumes any scripted ``engine_worker`` fault, and
-    resolves the backend.  ``run`` is retry-safe: the scripted ``align``
-    fault check fires before any read is consumed, and the stateful
-    early-stop monitor is rebuilt per attempt so a retried alignment
-    sees the same cadence as an unfaulted run.
+    The reads are already on ``ctx.reads``, a
+    :class:`~repro.align.backend.ReadChunkStream`: one whole-accession
+    chunk from the ``fasterq-dump`` stage, or a streamed download's live
+    feed.  ``prepare`` trims them when configured (single-end only;
+    trimming works on records, and streamed batches reject it),
+    consumes any scripted ``engine_worker`` fault, and resolves the
+    backend.  ``run`` is retry-safe: the scripted ``align`` fault check
+    fires before any read is consumed, and the stateful early-stop
+    monitor is rebuilt per attempt so a retried alignment sees the same
+    cadence as an unfaulted run.
     """
 
     name = "align"
@@ -186,12 +188,13 @@ class AlignStage:
         """Trim reads if asked, arm chaos faults, resolve the backend."""
         pipeline = ctx.pipeline
         cfg = pipeline.config
-        if cfg.trim is not None and isinstance(ctx.reads, ReadBatch) and not ctx.paired:
+        if cfg.trim is not None and not ctx.paired:
             records, ctx.trim_stats = ReadTrimmer(cfg.trim).trim(
-                ctx.reads.reads.records()
+                ctx.reads.materialize().records()
             )
-            ctx.reads = ReadBatch(records)
-        engine = pipeline._get_engine()
+            ctx.reads = ReadChunkStream.whole(records)
+        batch_size = ctx.batch.align_batch_size
+        engine = pipeline._get_engine(batch_size)
         if (
             engine is not None
             and cfg.fault_plan is not None
@@ -201,17 +204,18 @@ class AlignStage:
             # scripted chaos: SIGKILL one pool worker right before this
             # accession's alignment, exercising the engine's recovery path
             engine.kill_worker()
-        requested = getattr(pipeline, "_backend_override", None)
         ctx.backend = resolve_backend(
             cfg,
             pipeline.aligner,
             engine,
             paired=ctx.paired,
-            requested=requested,
+            requested=ctx.batch.options.backend,
             faas=(
-                pipeline._get_faas_backend() if requested == "faas" else None
+                pipeline._get_faas_backend(batch_size)
+                if ctx.batch.options.backend == "faas"
+                else None
             ),
-            batch_size=pipeline._align_batch_size(),
+            batch_size=batch_size,
         )
         ctx.out_dir = (
             (ctx.work / "star")
@@ -247,23 +251,14 @@ class AlignStage:
                 return False
             return base_hook(record) if base_hook is not None else True
 
-        if isinstance(ctx.reads, ReadChunkStream):
-            ctx.star_result = ctx.backend.align_stream(
-                ctx.reads, monitor=hook, out_dir=ctx.out_dir
-            )
-        else:
-            # shard-level checkpointing (see repro.core.replication) is
-            # owned by the pipeline: None unless this batch journals with
-            # shard checkpoints enabled
-            get_ckpt = getattr(pipeline, "_shard_checkpointer", None)
-            ctx.star_result = ctx.backend.align(
-                ctx.reads,
-                monitor=hook,
-                out_dir=ctx.out_dir,
-                checkpoint=(
-                    get_ckpt(ctx.accession) if get_ckpt is not None else None
-                ),
-            )
+        # shard-level checkpointing (see repro.core.replication) belongs
+        # to the batch: None unless it journals with shard checkpoints
+        ctx.star_result = ctx.backend.align(
+            ctx.reads,
+            monitor=hook,
+            out_dir=ctx.out_dir,
+            checkpoint=ctx.batch.checkpointer(ctx.accession),
+        )
 
 
 class Deseq2Stage:
@@ -294,8 +289,34 @@ def default_stages() -> list[Stage]:
     return [PrefetchStage(), FasterqDumpStage(), AlignStage()]
 
 
+class DumpedReads:
+    """The default read source: the paper's files, one accession at a time.
+
+    The consumer runs :class:`PrefetchStage` and :class:`FasterqDumpStage`
+    under the harness, writing the ``.sra`` container and FASTQ file(s),
+    and the align stage gets one whole-accession chunk.
+    """
+
+    def running(self, pending: list[str]):
+        """Nothing runs beside the consumers."""
+        return contextlib.nullcontext()
+
+    @contextlib.contextmanager
+    def reads(self, ctx: StageContext, harness):
+        """Put ``ctx.accession``'s reads on ``ctx`` for the enclosed
+        alignment."""
+        for stage in (PrefetchStage(), FasterqDumpStage()):
+            stage.prepare(ctx)
+            harness.attempt(
+                stage.step_key,
+                stage.timing_key,
+                lambda stage=stage: stage.run(ctx),
+            )
+        yield
+
+
 # --------------------------------------------------------------------------
-# per-stage metrics (EngineHealth-style counters for the streaming DAG)
+# per-stage metrics (EngineHealth-style counters for the stages)
 # --------------------------------------------------------------------------
 
 

@@ -1,35 +1,39 @@
-"""The streaming stage-overlapped execution shape of ``run_batch``.
+"""The streamed read source of ``run_batch`` (``BatchOptions(streaming=True)``).
 
-Sequential batches run ``prefetch → fasterq-dump → align`` to completion
-per accession, so the network idles while STAR runs and the CPU idles
-while bytes move.  :class:`StreamedBatchRunner` overlaps them as a small
-DAG:
+``run_batch`` runs one body per accession on ``max_parallel`` consumers;
+the read source decides where the reads come from.  The default,
+:class:`~repro.core.stages.DumpedReads`, runs ``prefetch →
+fasterq-dump`` to completion first, so the network idles while STAR
+runs and the CPU idles while bytes move.  :class:`StreamedReads`
+overlaps them:
 
 * a single **downloader thread** pulls accessions in submission order,
   streaming each ``.sra`` container through
-  :class:`~repro.reads.stream.SraStream` — bytes decompress into FASTQ
-  record chunks as they arrive — and pushes chunks into a bounded
+  :class:`~repro.reads.stream.SraStream` — bytes decode into read
+  column chunks as they arrive — and pushes chunks into a bounded
   per-accession queue (the backpressure window);
-* the **consumer** (caller's thread) aligns accession *k* from its live
-  chunk queue while the downloader already streams accession *k+1*
-  (``prefetch_depth`` bounds how far ahead it may run);
-* early stopping (or a drain deadline) aborting accession *k*'s
+* each **consumer** aligns its accession from the live chunk queue
+  while the downloader already streams the next one.  One admission
+  bound of ``max_parallel + prefetch_depth`` caps how many accessions
+  are downloading or being aligned at once;
+* early stopping (or a drain deadline) aborting an accession's
   alignment **cancels its in-flight download** at the next chunk
   boundary — the un-moved remainder is reported as
   ``download_bytes_saved`` on the result and in
   :class:`~repro.core.stages.PipelineHealth`.
 
-Results are byte-identical to the sequential path: chunk boundaries
-never affect alignment outcomes, record parsing matches the
-``fasterq-dump → iter_fastq`` semantics exactly, retry jitter draws from
-the same per-accession stream in the same step order, and journal
-records interchange freely (execution shape is not fingerprinted).  The
-one documented divergence: an accession whose download was cancelled
-mid-stream reports the *partial* ``fastq_bytes`` actually decoded —
-that is the point of cancelling.
+Results are byte-identical to the dumped source: chunk boundaries never
+affect alignment outcomes or the shard schedule (so shard checkpoints
+interchange too), record parsing matches the ``fasterq-dump``
+semantics exactly, retry jitter draws from the same per-accession
+stream in the same step order, and journal records interchange freely
+(the read source is not fingerprinted).  The one documented divergence:
+an accession whose download was cancelled mid-stream reports the
+*partial* ``fastq_bytes`` actually decoded — that is the point of
+cancelling.
 
-Failure semantics match the sequential harness: prefetch faults retry
-under the same policy inside the downloader (each attempt reopens the
+Failure semantics match the dumped source: prefetch faults retry under
+the same policy inside the downloader (each attempt reopens the
 stream), ``fasterq_dump`` faults are checked before the first chunk is
 handed over, and an ``align`` fault fires before any chunk is consumed
 so transient align faults retry safely.  Only a failure *after* chunks
@@ -39,6 +43,7 @@ surfaces as a permanent-style step failure.
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import threading
 import time
@@ -47,15 +52,14 @@ from typing import TYPE_CHECKING, Any
 
 from repro.align.backend import ReadChunkStream
 from repro.core.resilience import StepFailed, run_with_retry
-from repro.core.stages import AlignStage, StageContext
+from repro.core.stages import StageContext
 from repro.reads.stream import SraStream
 from repro.util.rng import derive_rng
 
 if TYPE_CHECKING:
-    from repro.core.journal import RunJournal
-    from repro.core.pipeline import BatchOptions, PipelineResult
+    from repro.core.pipeline import BatchOptions
 
-__all__ = ["StreamedBatchRunner"]
+__all__ = ["StreamedReads"]
 
 #: poll interval for the bounded queues and coordination events; short
 #: enough that cancellation feels immediate, long enough to stay cheap
@@ -90,77 +94,105 @@ class _Handle:
     #: seconds the downloader sat blocked on a full chunk queue
     stall_seconds: float = 0.0
     #: per-accession jitter stream, shared with the consumer's align
-    #: retries so draw order matches the sequential path exactly
+    #: retries so draw order matches the dumped source exactly
     rng: Any = None
+    #: the pipeline's PipelineHealth (align-side queue and stall figures)
+    health: Any = None
+
+    def __iter__(self):
+        """Bridge the chunk queue into the align stage; each iteration is
+        one align attempt.
+
+        Single-use: the bytes behind consumed chunks are gone, so a
+        second iteration (an align retry *after* consumption began)
+        fails loudly instead of silently aligning a truncated stream.
+        Align retries triggered before any chunk was consumed — the
+        scripted-fault case — never enter here twice because the fault
+        check precedes consumption.
+        """
+        if self.consume_started:
+            raise RuntimeError(
+                f"{self.accession!r}: streamed reads were already "
+                "consumed; a mid-stream alignment cannot be retried"
+            )
+        self.consume_started = True
+        metrics = self.health.stage("align")
+        stalled = 0.0
+        try:
+            while True:
+                try:
+                    kind, payload = self.items.get(timeout=_POLL_SECONDS)
+                except queue.Empty:
+                    if self.finished.is_set() and self.items.empty():
+                        if self.stream_error is not None:
+                            raise self.stream_error
+                        return  # cancelled: downloader exited early
+                    stalled += _POLL_SECONDS
+                    continue
+                if kind == "chunk":
+                    metrics.sample_queue(self.items.qsize())
+                    yield payload
+                elif kind == "error":
+                    raise payload
+                else:  # "done"
+                    return
+        finally:
+            metrics.record(stall=stalled)
 
 
-class StreamedBatchRunner:
-    """Executes one batch with download/align overlap (see module doc)."""
+class StreamedReads:
+    """The streamed read source (see module doc).
+
+    ``run_batch`` runs its consumers inside :meth:`running`, and each
+    consumer aligns inside :meth:`reads` — the interface
+    :class:`~repro.core.stages.DumpedReads` has too.
+    """
 
     def __init__(self, pipeline, options: "BatchOptions") -> None:
         self.pipeline = pipeline
         self.options = options
-        #: admits the accession being consumed plus ``prefetch_depth``
-        #: lookahead downloads; released as the consumer finishes each
-        self._admission = threading.Semaphore(1 + options.prefetch_depth)
+        #: admits the accessions being consumed plus ``prefetch_depth``
+        #: lookahead downloads; released as consumers finish each
+        self._admission = threading.Semaphore(
+            options.max_parallel + options.prefetch_depth
+        )
         self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
+        self._handles: dict[str, _Handle] = {}
 
-    # -- entry point ---------------------------------------------------------
+    @contextlib.contextmanager
+    def running(self, pending: list[str]):
+        """Download ``pending`` in submission order while the block runs.
 
-    def run(
-        self, pending: list[str], journal: "RunJournal | None"
-    ) -> dict[str, "PipelineResult"]:
-        """Run ``pending`` accessions; returns results keyed by accession.
-
-        Mirrors the sequential loop's drain contract: a drain request
-        stops admission before the next accession; the in-flight one is
-        bounded by the drain deadline (its download is cancelled along
-        with its alignment).  Accessions never started have no journal
-        records, so a resumed batch re-runs exactly them.
+        On exit every download is cancelled.  Accessions never consumed
+        (a drain stopped admission) have no journal records, so a
+        resumed batch re-runs exactly them.
         """
-        results: dict[str, PipelineResult] = {}
-        if not pending:
-            return results
-        pipeline = self.pipeline
-        handles = []
         for accession in pending:
-            handle = _Handle(accession)
-            handle.items = queue.Queue(maxsize=self.options.buffer_chunks)
-            handle.rng = derive_rng(
-                pipeline.config.retry_seed, f"retry:{accession}"
+            self._handles[accession] = _Handle(
+                accession,
+                items=queue.Queue(maxsize=self.options.buffer_chunks),
+                rng=derive_rng(
+                    self.pipeline.config.retry_seed, f"retry:{accession}"
+                ),
+                health=self.pipeline.stage_health,
             )
-            handles.append(handle)
         self._thread = threading.Thread(
             target=self._download_all,
-            args=(handles,),
+            args=(list(self._handles.values()),),
             name="stream-downloader",
             daemon=True,
         )
         self._thread.start()
         try:
-            for handle in handles:
-                if pipeline._drain.is_set():
-                    break
-                try:
-                    results[handle.accession] = pipeline._run_guarded(
-                        handle.accession,
-                        journal,
-                        lambda harness, h=handle: self._consume(h, harness),
-                        rng=handle.rng,
-                    )
-                finally:
-                    self._release_handle(handle)
-                    self._admission.release()
+            yield
         finally:
             self._stop.set()
-            for handle in handles:
+            for handle in self._handles.values():
                 self._release_handle(handle)
                 # unblock the downloader's admission wait for every
                 # handle it may still loop over (over-release is safe)
                 self._admission.release()
             self._thread.join(timeout=30.0)
-        return results
 
     @staticmethod
     def _release_handle(handle: _Handle) -> None:
@@ -279,102 +311,66 @@ class StreamedBatchRunner:
 
     # -- consumer side -------------------------------------------------------
 
-    def _consume(self, handle: _Handle, harness) -> "PipelineResult":
-        """The body run under the pipeline's retry/journal harness."""
-        pipeline = self.pipeline
-        self._await_meta(handle)
+    @contextlib.contextmanager
+    def reads(self, ctx: StageContext, harness):
+        """Hand ``ctx.accession``'s live chunk feed to the enclosed
+        alignment; settle the download's accounting once it returns.
+
+        The accession's admission is released on the way out, whether
+        the alignment finished, failed or was drained.
+        """
+        handle = self._handles[ctx.accession]
+        # align retries continue the jitter stream the downloader's
+        # retries drew from, so draw order matches the dumped source
+        harness.rng = handle.rng
+        try:
+            stream = self._await_stream(handle, harness)
+            state = harness.state
+            state["streamed"] = True
+            state["paired"] = stream.paired
+            state["download_bytes_total"] = stream.total_bytes
+            ctx.paired = stream.paired
+            ctx.reads = ReadChunkStream(
+                chunks=handle,
+                reads_total=stream.n_reads,
+                paired=stream.paired,
+            )
+
+            def on_abort(record) -> None:
+                # early stop / drain: stop moving bytes at the next boundary
+                handle.cancel.set()
+                stream.cancel()
+
+            ctx.on_align_abort = on_abort
+            yield
+            handle.finished.wait()
+            state["fastq_bytes"] = stream.fastq_bytes
+            state["download_bytes_saved"] = stream.bytes_saved
+            harness.timings["prefetch"] += handle.download_seconds
+            self.pipeline.stage_health.stage("align").record(
+                units=stream.records_out
+            )
+        finally:
+            self._release_handle(handle)
+            self._admission.release()
+
+    def _await_stream(self, handle: _Handle, harness) -> SraStream:
+        """Wait for the download's header; raise its prefetch/dump failure."""
+        while not handle.meta.wait(_POLL_SECONDS):
+            if not self._thread.is_alive():
+                raise RuntimeError(
+                    "stream downloader died before metadata for "
+                    f"{handle.accession!r}"
+                )
         harness.retries["n"] += handle.retries
         if handle.error is not None:
             handle.finished.wait()
             harness.timings["prefetch"] += handle.download_seconds
             raise handle.error
-        stream = handle.stream
-        assert stream is not None
-        state = harness.state
-        state["streamed"] = True
-        state["paired"] = stream.paired
-        state["download_bytes_total"] = stream.total_bytes
         if harness.journal is not None:
             # the download/decode steps have settled their retries; the
-            # journal keeps the sequential step vocabulary
+            # journal keeps the dumped path's step vocabulary
             harness.journal.record_step_done(handle.accession, "prefetch")
             harness.journal.record_step_done(handle.accession, "fasterq_dump")
-
-        ctx = StageContext(
-            pipeline=pipeline,
-            accession=handle.accession,
-            work=harness.work,
-            state=state,
-        )
-        ctx.paired = stream.paired
-        ctx.reads = ReadChunkStream(
-            chunks=self._chunks(handle),
-            reads_total=stream.n_reads,
-            paired=stream.paired,
-        )
-
-        def on_abort(record) -> None:
-            # early stop / drain: stop moving bytes at the next boundary
-            handle.cancel.set()
-            stream.cancel()
-
-        ctx.on_align_abort = on_abort
-        stage = AlignStage()
-        stage.prepare(ctx)
-        harness.attempt(
-            stage.step_key, stage.timing_key, lambda: stage.run(ctx)
-        )
-        handle.finished.wait()
-        state["fastq_bytes"] = stream.fastq_bytes
-        state["download_bytes_saved"] = stream.bytes_saved
-        harness.timings["prefetch"] += handle.download_seconds
-        pipeline.stage_health.stage("align").record(units=stream.records_out)
-        return pipeline._classify(ctx, harness)
-
-    def _await_meta(self, handle: _Handle) -> None:
-        while not handle.meta.wait(_POLL_SECONDS):
-            thread = self._thread
-            if thread is not None and not thread.is_alive():
-                raise RuntimeError(
-                    "stream downloader died before metadata for "
-                    f"{handle.accession!r}"
-                )
-
-    def _chunks(self, handle: _Handle):
-        """Generator bridging the chunk queue into the align stage.
-
-        Single-use: the bytes behind consumed chunks are gone, so a
-        second iteration (an align retry *after* consumption began)
-        fails loudly instead of silently aligning a truncated stream.
-        Align retries triggered before any chunk was consumed — the
-        scripted-fault case — never enter here twice because the fault
-        check precedes consumption.
-        """
-        if handle.consume_started:
-            raise RuntimeError(
-                f"{handle.accession!r}: streamed reads were already "
-                "consumed; a mid-stream alignment cannot be retried"
-            )
-        handle.consume_started = True
-        metrics = self.pipeline.stage_health.stage("align")
-        stalled = 0.0
-        try:
-            while True:
-                try:
-                    kind, payload = handle.items.get(timeout=_POLL_SECONDS)
-                except queue.Empty:
-                    if handle.finished.is_set() and handle.items.empty():
-                        if handle.stream_error is not None:
-                            raise handle.stream_error
-                        return  # cancelled: downloader exited early
-                    stalled += _POLL_SECONDS
-                    continue
-                if kind == "chunk":
-                    metrics.sample_queue(handle.items.qsize())
-                    yield payload
-                elif kind == "error":
-                    raise payload
-                else:  # "done"
-                    return
-        finally:
-            metrics.record(stall=stalled)
+        assert handle.stream is not None
+        return handle.stream

@@ -349,7 +349,7 @@ class _Mode:
 
 _MODES = {
     "local": _Mode(),
-    "stream": _Mode(streaming=True),
+    "stream": _Mode(streaming=True, shard_checkpoints=True),
     "s3": _Mode(workers=2, shard_checkpoints=True, replicated=True),
     "faas": _Mode(backend="faas", shard_checkpoints=True),
 }
@@ -662,7 +662,9 @@ def run_crash(
     index.  Recovery then differs by mode:
 
     * ``local`` — resume from the victim's journal;
-    * ``stream`` — the same, with victim and recovery streaming;
+    * ``stream`` — the same, with victim and recovery streaming and
+      shard checkpoints (the reference runs sequentially, so every
+      streamed shard append is checked against a sequential one);
     * ``s3`` — the victim is an instance with a 2-worker engine, shard
       checkpoints, a journal replicated to S3 and a batch lease.  A fresh
       instance waits for the lease to expire, adopts with a bumped

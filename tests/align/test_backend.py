@@ -1,5 +1,6 @@
-"""Unified aligner-backend API: ReadBatch, protocols, resolve_backend."""
+"""Unified aligner-backend API: ReadChunkStream, protocols, resolve_backend."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -8,12 +9,13 @@ from repro.align.backend import (
     AlignerBackend,
     EngineBackend,
     PairedAlignerBackend,
-    ReadBatch,
+    ReadChunkStream,
     SerialAlignerBackend,
     resolve_backend,
 )
 from repro.align.outcome import AlignmentOutcome
 from repro.align.paired import PairedParameters, PairedStarAligner
+from repro.align.star import StarAligner
 from repro.reads.library import LibraryType
 from repro.reads.paired import PairedProfile, simulate_paired
 
@@ -31,19 +33,23 @@ def paired_sample(simulator):
 
 
 class TestReadBatch:
+    """Whole-accession read batches: ``ReadChunkStream.whole``."""
+
     def test_single_end(self, bulk_sample):
-        batch = ReadBatch(bulk_sample.records)
+        batch = ReadChunkStream.whole(bulk_sample.records)
         assert not batch.paired
-        assert len(batch) == len(bulk_sample.records)
+        assert batch.reads_total == len(bulk_sample.records)
+        assert len(batch.materialize()) == len(bulk_sample.records)
 
     def test_paired(self, paired_sample):
-        batch = ReadBatch(paired_sample.mate1, paired_sample.mate2)
+        batch = ReadChunkStream.whole(paired_sample.mate1, paired_sample.mate2)
         assert batch.paired
-        assert len(batch) == len(paired_sample.mate1)
+        assert batch.reads_total == len(paired_sample.mate1)
+        assert len(batch.materialize()) == len(paired_sample.mate1)
 
     def test_mismatched_mate_lengths_rejected(self, paired_sample):
         with pytest.raises(ValueError, match="equal length"):
-            ReadBatch(paired_sample.mate1, paired_sample.mate2[:-1])
+            ReadChunkStream.whole(paired_sample.mate1, paired_sample.mate2[:-1])
 
 
 class TestProtocolConformance:
@@ -102,7 +108,7 @@ class TestResolveBackend:
 class TestAlignDispatch:
     def test_serial_matches_direct_run(self, aligner_r111, bulk_sample):
         backend = SerialAlignerBackend(aligner_r111)
-        got = backend.align(ReadBatch(bulk_sample.records))
+        got = backend.align(ReadChunkStream.whole(bulk_sample.records))
         want = aligner_r111.run(bulk_sample.records)
         assert got.final.mapped_unique == want.final.mapped_unique
         assert got.gene_counts == want.gene_counts
@@ -110,13 +116,15 @@ class TestAlignDispatch:
 
     def test_serial_rejects_paired_batch(self, aligner_r111, paired_sample):
         backend = SerialAlignerBackend(aligner_r111)
-        batch = ReadBatch(paired_sample.mate1, paired_sample.mate2)
+        batch = ReadChunkStream.whole(paired_sample.mate1, paired_sample.mate2)
         with pytest.raises(ValueError, match="paired"):
             backend.align(batch)
 
     def test_paired_matches_direct_run(self, aligner_r111, paired_sample):
         backend = PairedAlignerBackend(PairedStarAligner(aligner_r111))
-        got = backend.align(ReadBatch(paired_sample.mate1, paired_sample.mate2))
+        got = backend.align(
+            ReadChunkStream.whole(paired_sample.mate1, paired_sample.mate2)
+        )
         want = PairedStarAligner(aligner_r111).run(
             paired_sample.mate1, paired_sample.mate2
         )
@@ -126,21 +134,53 @@ class TestAlignDispatch:
     def test_paired_rejects_single_end_batch(self, aligner_r111, bulk_sample):
         backend = PairedAlignerBackend(PairedStarAligner(aligner_r111))
         with pytest.raises(ValueError, match="single-end"):
-            backend.align(ReadBatch(bulk_sample.records))
+            backend.align(ReadChunkStream.whole(bulk_sample.records))
+
+    def test_paired_feed_is_consumed_lazily(self, aligner_r111, paired_sample):
+        """Streamed pairs align as they arrive, not after the last chunk."""
+        aligner = StarAligner(
+            aligner_r111.index,
+            replace(aligner_r111.parameters, align_batch_size=20),
+        )
+        pairs = ReadChunkStream.whole(
+            paired_sample.mate1, paired_sample.mate2
+        ).materialize()
+        pulled = []
+
+        def feed():
+            for start in range(0, len(pairs), 10):
+                pulled.append(start)
+                yield pairs[start : start + 10]
+
+        first_report = []
+
+        def monitor(record):
+            first_report.append(len(pulled))
+            return True
+
+        paired = PairedStarAligner(aligner, PairedParameters(progress_every=25))
+        got = PairedAlignerBackend(paired).align(
+            ReadChunkStream(feed(), len(pairs), paired=True), monitor=monitor
+        )
+        want = paired.run(paired_sample.mate1, paired_sample.mate2)
+        assert first_report[0] < len(pulled)
+        assert got.outcomes == want.outcomes
 
     def test_engine_routes_by_layout(self, bulk_sample, paired_sample):
         calls = []
         stub = SimpleNamespace(
-            run=lambda records, monitor=None, out_dir=None, checkpoint=None: (
-                calls.append(("run", len(records)))
+            run=lambda reads, reads_total, **kwargs: (
+                calls.append(("run", reads_total))
             ),
-            run_paired=lambda m1, m2, monitor=None, checkpoint=None: (
-                calls.append(("run_paired", len(m1)))
+            run_paired=lambda pairs, reads_total, **kwargs: (
+                calls.append(("run_paired", reads_total))
             ),
         )
         backend = EngineBackend(stub)
-        backend.align(ReadBatch(bulk_sample.records))
-        backend.align(ReadBatch(paired_sample.mate1, paired_sample.mate2))
+        backend.align(ReadChunkStream.whole(bulk_sample.records))
+        backend.align(
+            ReadChunkStream.whole(paired_sample.mate1, paired_sample.mate2)
+        )
         assert calls == [
             ("run", len(bulk_sample.records)),
             ("run_paired", len(paired_sample.mate1)),

@@ -20,7 +20,7 @@ from repro.align.backend import (
     EngineBackend,
     FaasAlignerBackend,
     PairedAlignerBackend,
-    ReadBatch,
+    ReadChunkStream,
     SerialAlignerBackend,
 )
 from repro.align.engine import ParallelStarAligner
@@ -102,14 +102,16 @@ def paired_sample(simulator):
 @pytest.mark.parametrize("backend_name", BACKENDS)
 class TestEquivalence:
     def test_single_end(self, backend_name, build_backend, bulk_sample):
-        want = build_backend("serial").align(ReadBatch(bulk_sample.records))
+        want = build_backend("serial").align(
+            ReadChunkStream.whole(bulk_sample.records)
+        )
         got = build_backend(backend_name).align(
-            ReadBatch(bulk_sample.records)
+            ReadChunkStream.whole(bulk_sample.records)
         )
         assert_equivalent(got, want)
 
     def test_paired_end(self, backend_name, build_backend, paired_sample):
-        batch = ReadBatch(paired_sample.mate1, paired_sample.mate2)
+        batch = ReadChunkStream.whole(paired_sample.mate1, paired_sample.mate2)
         want = build_backend("serial", paired=True).align(batch)
         got_backend = (
             build_backend(backend_name, paired=True)
@@ -135,10 +137,10 @@ class TestEquivalence:
             return EarlyStopMonitor(policy).hook
 
         want = build_backend("serial").align(
-            ReadBatch(bulk_sample.records), monitor=make_monitor()
+            ReadChunkStream.whole(bulk_sample.records), monitor=make_monitor()
         )
         got = build_backend(backend_name).align(
-            ReadBatch(bulk_sample.records), monitor=make_monitor()
+            ReadChunkStream.whole(bulk_sample.records), monitor=make_monitor()
         )
         assert want.aborted
         assert_equivalent(got, want)
@@ -160,7 +162,7 @@ class TestEquivalence:
             )
         else:
             backend = build_backend(backend_name)
-        reads = ReadBatch(bulk_sample.records)
+        reads = ReadChunkStream.whole(bulk_sample.records)
         path = tmp_path / "run.journal"
         with RunJournal(path) as journal:
             first = ShardCheckpointer(journal, "SRR1", "fp")
@@ -185,32 +187,38 @@ class TestFaasChaosEquivalence:
     def test_crashes_and_throttles_are_absorbed(
         self, build_backend, bulk_sample
     ):
-        want = build_backend("serial").align(ReadBatch(bulk_sample.records))
+        want = build_backend("serial").align(
+            ReadChunkStream.whole(bulk_sample.records)
+        )
         faas = build_backend("faas")
         faas.function.fail_next(2)
         faas.function.throttle_next(1)
-        got = faas.align(ReadBatch(bulk_sample.records))
+        got = faas.align(ReadChunkStream.whole(bulk_sample.records))
         assert faas.crash_retries == 2
         assert faas.throttle_retries == 1
         assert_equivalent(got, want)
 
     def test_payload_splits_are_invisible(self, build_backend, bulk_sample):
-        want = build_backend("serial").align(ReadBatch(bulk_sample.records))
+        want = build_backend("serial").align(
+            ReadChunkStream.whole(bulk_sample.records)
+        )
         service = FaasService(
             limits=FaasLimits(max_response_bytes=96 * 20)
         )
         faas = build_backend("faas", service=service)
-        got = faas.align(ReadBatch(bulk_sample.records))
+        got = faas.align(ReadChunkStream.whole(bulk_sample.records))
         assert faas.payload_reshards > 0
         assert_equivalent(got, want)
 
     def test_cap_splits_are_invisible(self, build_backend, bulk_sample):
-        want = build_backend("serial").align(ReadBatch(bulk_sample.records))
+        want = build_backend("serial").align(
+            ReadChunkStream.whole(bulk_sample.records)
+        )
         service = FaasService(
             limits=FaasLimits(max_execution_seconds=0.005)
         )
         faas = build_backend("faas", service=service, seconds_per_read=1e-3)
-        got = faas.align(ReadBatch(bulk_sample.records))
+        got = faas.align(ReadChunkStream.whole(bulk_sample.records))
         assert faas.cap_reshards > 0
         assert_equivalent(got, want)
 
@@ -247,9 +255,11 @@ class TestPropertyEquivalence:
                     qualities=np.full(codes.size, 30, dtype=np.uint8),
                 )
             )
-        want = SerialAlignerBackend(aligner_r111).align(ReadBatch(records))
+        want = SerialAlignerBackend(aligner_r111).align(
+            ReadChunkStream.whole(records)
+        )
         got = FaasAlignerBackend(aligner_r111, batch_size=7).align(
-            ReadBatch(records)
+            ReadChunkStream.whole(records)
         )
         assert_equivalent(got, want)
 

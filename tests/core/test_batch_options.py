@@ -1,13 +1,16 @@
-"""BatchOptions consolidation: validation, warning-free calls, overrides."""
+"""BatchOptions consolidation: validation, warning-free calls, and
+per-batch overrides that last exactly one batch."""
 
 import time
 
 import pytest
 
 from repro.core.early_stopping import EarlyStoppingPolicy
+from repro.core.journal import RunJournal
 from repro.core.pipeline import (
     BatchOptions,
     PipelineConfig,
+    RunStatus,
     TranscriptomicsAtlasPipeline,
 )
 from repro.reads.library import LibraryType, SampleProfile
@@ -63,10 +66,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             BatchOptions(**kwargs)
 
-    def test_streaming_excludes_accession_parallelism(self):
-        with pytest.raises(ValueError, match="max_parallel"):
-            BatchOptions(streaming=True, max_parallel=2)
-        BatchOptions(streaming=True, max_parallel=1)  # fine
+    def test_streaming_allows_accession_parallelism(self):
+        options = BatchOptions(streaming=True, max_parallel=2, backend="faas")
+        assert options.streaming and options.max_parallel == 2
 
     def test_shard_checkpoints_require_a_journal(self, tmp_path):
         with pytest.raises(ValueError, match="journal"):
@@ -75,13 +77,13 @@ class TestValidation:
             shard_checkpoints=True, journal=tmp_path / "j.jsonl"
         )  # fine
 
-    def test_shard_checkpoints_exclude_streaming(self, tmp_path):
-        with pytest.raises(ValueError, match="streaming"):
-            BatchOptions(
-                shard_checkpoints=True,
-                streaming=True,
-                journal=tmp_path / "j.jsonl",
-            )
+    def test_shard_checkpoints_allow_streaming(self, tmp_path):
+        options = BatchOptions(
+            shard_checkpoints=True,
+            streaming=True,
+            journal=tmp_path / "j.jsonl",
+        )
+        assert options.shard_checkpoints and options.streaming
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -99,28 +101,91 @@ class TestDeprecatedKwargs:
         ]
 
 
+def drain_when_started(pipeline, journal, **kwargs):
+    """Request a drain as the batch's first accession starts."""
+    original = journal.record_started
+
+    def spy(accession):
+        original(accession)
+        pipeline.request_drain(**kwargs)
+
+    journal.record_started = spy
+
+
 class TestPerBatchOverrides:
     def test_drain_deadline_override_feeds_request_drain(
         self, repository, aligner_r111, tmp_path
     ):
-        pipeline = make_pipeline(repository, aligner_r111, tmp_path)
-        pipeline.run_batch(ACCESSIONS[:1], BatchOptions(drain_deadline=123.0))
-        assert pipeline._drain_deadline_base == 123.0
-        pipeline.request_drain()
+        """A drain requested during the batch gets the batch's deadline:
+        the first accession keeps running, the second is not admitted."""
+        pipeline = make_pipeline(repository, aligner_r111, tmp_path / "w")
+        journal = RunJournal(tmp_path / "j.jsonl")
+        drain_when_started(pipeline, journal)
+        results = pipeline.run_batch(
+            ACCESSIONS, BatchOptions(journal=journal, drain_deadline=123.0)
+        )
+        assert [r.accession for r in results] == ACCESSIONS[:1]
+        assert results[0].status is RunStatus.ACCEPTED
         assert pipeline._drain_deadline_at > time.monotonic() + 60
         assert not pipeline._drain_expired()
 
     def test_explicit_deadline_still_wins(
         self, repository, aligner_r111, tmp_path
     ):
-        pipeline = make_pipeline(repository, aligner_r111, tmp_path)
-        pipeline._drain_deadline_base = 500.0
-        pipeline.request_drain(deadline=0.0)
+        pipeline = make_pipeline(repository, aligner_r111, tmp_path / "w")
+        journal = RunJournal(tmp_path / "j.jsonl")
+        drain_when_started(pipeline, journal, deadline=0.0)
+        results = pipeline.run_batch(
+            ACCESSIONS, BatchOptions(journal=journal, drain_deadline=500.0)
+        )
+        assert [r.status for r in results] == [RunStatus.DRAINED]
         assert pipeline._drain_expired()
 
     def test_align_batch_override_recorded(
         self, repository, aligner_r111, tmp_path
     ):
-        pipeline = make_pipeline(repository, aligner_r111, tmp_path)
-        pipeline.run_batch(ACCESSIONS[:1], BatchOptions(align_batch_size=7))
-        assert pipeline._align_batch_override == 7
+        """The batch's shard size cuts its shards; the next batch is back
+        on the config's (here ``StarParameters.align_batch_size``)."""
+        pipeline = make_pipeline(repository, aligner_r111, tmp_path / "w")
+        spans = {}
+        for size, accession in [(7, ACCESSIONS[0]), (None, ACCESSIONS[1])]:
+            path = tmp_path / f"{accession}.jsonl"
+            pipeline.run_batch(
+                [accession],
+                BatchOptions(
+                    journal=path, shard_checkpoints=True, align_batch_size=size
+                ),
+            )
+            spans[accession] = sorted(
+                RunJournal(path).replay().align_shards[accession]
+            )
+        assert spans[ACCESSIONS[0]][:2] == [(0, 7), (7, 14)]
+        assert spans[ACCESSIONS[1]] == [(0, 150)]
+
+    def test_options_do_not_outlive_their_batch(
+        self, repository, aligner_r111, tmp_path
+    ):
+        """Regression: backend, shard checkpoints and drain deadline used
+        to stay installed on the pipeline after ``run_batch`` returned."""
+        pipeline = make_pipeline(repository, aligner_r111, tmp_path / "w")
+        path = tmp_path / "j.jsonl"
+        pipeline.run_batch(
+            ACCESSIONS[:1],
+            BatchOptions(
+                journal=path,
+                shard_checkpoints=True,
+                backend="faas",
+                drain_deadline=123.0,
+            ),
+        )
+        invocations = pipeline._get_faas_backend().function.invocations
+        assert invocations > 0
+        records = path.read_text().count("\n")
+
+        result = pipeline.run_accession(ACCESSIONS[1])
+        assert result.status is RunStatus.ACCEPTED
+        assert pipeline._get_faas_backend().function.invocations == invocations
+        assert path.read_text().count("\n") == records
+        assert pipeline.shard_checkpoint_summary()["recorded"] > 0
+        pipeline.request_drain()
+        assert pipeline._drain_deadline_at < time.monotonic() + 60

@@ -11,6 +11,7 @@ from repro.core.early_stopping import EarlyStoppingPolicy
 from repro.core.journal import RunJournal
 from repro.core.pipeline import (
     BatchOptions,
+    BatchRunner,
     PipelineConfig,
     RunStatus,
     TranscriptomicsAtlasPipeline,
@@ -279,9 +280,9 @@ class TestGracefulDrain:
         pipeline = make_pipeline(repository, aligner_r111, tmp_path / "w")
         pipeline._drain_deadline_at = time.monotonic() - 1.0
         pipeline._drain.set()
-        result = pipeline._execute_accession(
-            ACCESSIONS[0], journal=RunJournal(journal_path)
-        )
+        result = BatchRunner(
+            pipeline, BatchOptions(), RunJournal(journal_path)
+        ).execute(ACCESSIONS[0])
         assert result.status is RunStatus.DRAINED
         assert not result.status.terminal
         assert result.counts is None

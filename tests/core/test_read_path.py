@@ -10,7 +10,7 @@ and shard checkpoints cannot drift apart.
 import numpy as np
 import pytest
 
-from repro.align.backend import FaasAlignerBackend, ReadBatch
+from repro.align.backend import FaasAlignerBackend, ReadChunkStream
 from repro.align.star import StarAligner, StarParameters
 from repro.cloud.faas import FaasLimits, FaasService
 from repro.core.journal import RunJournal
@@ -143,9 +143,11 @@ class TestFaasSizingUnchanged:
         faas = FaasAlignerBackend(
             aligner, service=FaasService(limits=FaasLimits(max_request_bytes=6_000))
         )
-        by_records = faas.align(ReadBatch(records))
+        by_records = faas.align(ReadChunkStream.whole(records))
         invocations = faas.function.invocations
-        by_columns = faas.align(ReadBatch(ReadColumns.from_records(records)))
+        by_columns = faas.align(
+            ReadChunkStream.whole(ReadColumns.from_records(records))
+        )
         assert by_columns.outcomes == by_records.outcomes
         assert faas.function.invocations == 2 * invocations
         assert np.isclose(by_columns.final.mapped_fraction, by_records.final.mapped_fraction)

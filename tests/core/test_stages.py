@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core.early_stopping import EarlyStoppingPolicy
-from repro.core.pipeline import PipelineConfig, TranscriptomicsAtlasPipeline
+from repro.core.pipeline import (
+    BatchOptions,
+    BatchRunner,
+    PipelineConfig,
+    TranscriptomicsAtlasPipeline,
+)
 from repro.core.stages import (
     AlignStage,
     Deseq2Stage,
@@ -73,6 +78,7 @@ class TestStageExecution:
             accession=ACC,
             work=work,
             state={"paired": False, "fastq_bytes": 0},
+            batch=BatchRunner(pipeline, BatchOptions()),
         )
         for stage in default_stages():
             stage.prepare(ctx)

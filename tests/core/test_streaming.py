@@ -1,6 +1,7 @@
 """Streamed ≡ sequential: the identity property the overlap must preserve."""
 
 import dataclasses
+import sys
 import threading
 
 import pytest
@@ -98,14 +99,42 @@ def comparable(result):
     )
 
 
+#: execution options a streamed batch combines with; each must leave
+#: outputs identical to the sequential serial run
+COMBINED = {
+    "max_parallel": {"max_parallel": 2},
+    "faas": {"backend": "faas"},
+    "shard_checkpoints": {"shard_checkpoints": True},
+}
+
+
+def streamed_options(tmp_path, **kwargs):
+    """Streamed BatchOptions; shard checkpoints get the journal they need."""
+    if kwargs.get("shard_checkpoints"):
+        kwargs.setdefault("journal", tmp_path / "streamed.jsonl")
+    return BatchOptions(streaming=True, **kwargs)
+
+
 class TestStreamedIdentity:
-    @pytest.mark.parametrize("chunk_reads", [16, 256])
-    @pytest.mark.parametrize("prefetch_depth", [0, 2])
+    @pytest.mark.parametrize(
+        "chunk_reads,prefetch_depth,combined",
+        [
+            pytest.param(16, 0, {}, id="0-16"),
+            pytest.param(256, 0, {}, id="0-256"),
+            pytest.param(16, 2, {}, id="2-16"),
+            pytest.param(256, 2, {}, id="2-256"),
+        ]
+        + [
+            pytest.param(16, 1, extra, id=name)
+            for name, extra in COMBINED.items()
+        ],
+    )
     def test_mixed_batch_matches_sequential(
-        self, repository, aligner, tmp_path, chunk_reads, prefetch_depth
+        self, repository, aligner, tmp_path, chunk_reads, prefetch_depth, combined
     ):
-        """SE accepted + SE early-stopped + PE, across chunk sizes and
-        lookahead depths: outcome-identical to the sequential path."""
+        """SE accepted + SE early-stopped + PE, across chunk sizes,
+        lookahead depths, accession parallelism, the FaaS backend and
+        shard checkpoints: outcome-identical to the sequential path."""
         sequential = make_pipeline(
             repository, aligner, tmp_path / "seq"
         ).run_batch(ALL, BatchOptions())
@@ -113,11 +142,12 @@ class TestStreamedIdentity:
             repository, aligner, tmp_path / "st"
         ).run_batch(
             ALL,
-            BatchOptions(
-                streaming=True,
+            streamed_options(
+                tmp_path,
                 chunk_reads=chunk_reads,
                 prefetch_depth=prefetch_depth,
                 download_chunk_bytes=2048,
+                **combined,
             ),
         )
         assert [comparable(r) for r in streamed] == [
@@ -129,15 +159,60 @@ class TestStreamedIdentity:
             RunStatus.REJECTED_EARLY
         )
 
-    def test_count_matrices_identical(self, repository, aligner, tmp_path):
+    @pytest.mark.parametrize(
+        "combined",
+        [pytest.param({}, id="plain")]
+        + [pytest.param(extra, id=name) for name, extra in COMBINED.items()],
+    )
+    def test_count_matrices_identical(
+        self, repository, aligner, tmp_path, combined
+    ):
         seq = make_pipeline(repository, aligner, tmp_path / "seq")
         seq.run_batch(ALL, BatchOptions())
         st = make_pipeline(repository, aligner, tmp_path / "st")
-        st.run_batch(ALL, BatchOptions(streaming=True))
+        st.run_batch(ALL, streamed_options(tmp_path, **combined))
         a, b = seq.build_count_matrix(), st.build_count_matrix()
         assert a.gene_ids == b.gene_ids
         assert a.sample_ids == b.sample_ids
         assert (a.counts == b.counts).all()
+
+    def test_more_consumers_than_cores_under_fast_switching(
+        self, repository, aligner, tmp_path
+    ):
+        """Five consumers sharing one downloader, its admission bound and
+        the result map, with the interpreter switching threads often: one
+        result per accession, outputs identical to the sequential run."""
+        sequential = make_pipeline(
+            repository, aligner, tmp_path / "seq"
+        ).run_batch(ALL, BatchOptions())
+        pipeline = make_pipeline(repository, aligner, tmp_path / "st")
+        got = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread = threading.Thread(
+                target=lambda: got.extend(
+                    pipeline.run_batch(
+                        ALL,
+                        BatchOptions(
+                            streaming=True,
+                            max_parallel=len(ALL),
+                            prefetch_depth=0,
+                            chunk_reads=8,
+                            buffer_chunks=1,
+                        ),
+                    )
+                )
+            )
+            thread.start()
+            thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not thread.is_alive()
+        assert [comparable(r) for r in got] == [
+            comparable(r) for r in sequential
+        ]
+        assert pipeline.stage_health.accessions_streamed == len(ALL)
 
     def test_early_stop_cancels_download_and_saves_bytes(
         self, repository, aligner, tmp_path
@@ -256,6 +331,26 @@ class TestStreamedFailureSemantics:
         ]
         assert [r.retries for r in streamed] == [r.retries for r in sequential]
 
+    def test_align_retry_after_consumption_fails_loudly(
+        self, repository, aligner, tmp_path
+    ):
+        """FaaS gathers the whole stream, then crashes past its own
+        retries: the pipeline's align retry must fail, not align the
+        exhausted feed's zero reads."""
+        pipeline = make_pipeline(
+            repository,
+            aligner,
+            tmp_path,
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0),
+        )
+        pipeline._get_faas_backend().function.fail_next(5)
+        (result,) = pipeline.run_batch(
+            [BULK[0]], BatchOptions(streaming=True, backend="faas")
+        )
+        assert result.status is RunStatus.FAILED
+        assert result.failure.step == "align"
+        assert "already consumed" in result.failure.error
+
     def test_missing_accession_fails_not_raises(
         self, repository, aligner, tmp_path
     ):
@@ -315,6 +410,65 @@ class TestStreamedJournal:
         assert all(not by_acc[a].resumed for a in ALL[2:])
         reference = make_pipeline(repository, aligner, tmp_path / "ref")
         assert [comparable(r) for r in results] == [
+            comparable(r) for r in reference.run_batch(ALL, BatchOptions())
+        ]
+
+    def test_shard_records_match_sequential(
+        self, repository, aligner, tmp_path
+    ):
+        """Chunk boundaries never move the shard schedule: a streamed
+        batch journals byte-identical shard checkpoints."""
+        shards = {}
+        for name, streaming in (("seq", False), ("st", True)):
+            path = tmp_path / f"{name}.jsonl"
+            make_pipeline(repository, aligner, tmp_path / name).run_batch(
+                ALL,
+                BatchOptions(
+                    streaming=streaming,
+                    chunk_reads=16,
+                    journal=path,
+                    shard_checkpoints=True,
+                ),
+            )
+            shards[name] = [
+                line
+                for line in path.read_bytes().splitlines()
+                if b'"align.shard"' in line
+            ]
+        assert len(shards["seq"]) > len(ALL)
+        assert shards["st"] == shards["seq"]
+
+    def test_sequential_shards_replay_in_streamed_resume(
+        self, repository, aligner, tmp_path
+    ):
+        """A sequential journal cut before any accession committed: the
+        streamed resume re-runs every accession from its shards."""
+        full = tmp_path / "full.jsonl"
+        make_pipeline(repository, aligner, tmp_path / "a").run_batch(
+            ALL, BatchOptions(journal=full, shard_checkpoints=True)
+        )
+        cut = tmp_path / "cut.jsonl"
+        cut.write_bytes(
+            b"".join(
+                line
+                for line in full.read_bytes().splitlines(keepends=True)
+                if b'"completed"' not in line
+            )
+        )
+        second = make_pipeline(repository, aligner, tmp_path / "b")
+        resumed = second.run_batch(
+            ALL,
+            BatchOptions(
+                streaming=True,
+                journal=cut,
+                resume=True,
+                shard_checkpoints=True,
+            ),
+        )
+        assert not any(r.resumed for r in resumed)
+        assert second.shard_checkpoint_summary()["hits"] > 0
+        reference = make_pipeline(repository, aligner, tmp_path / "ref")
+        assert [comparable(r) for r in resumed] == [
             comparable(r) for r in reference.run_batch(ALL, BatchOptions())
         ]
 

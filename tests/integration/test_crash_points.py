@@ -1,8 +1,8 @@
 """Crash-point enumeration, executable: a journaled batch SIGKILLed right
 after its k-th durable journal append must recover to the uninterrupted
 run's per-accession outcomes and count matrix, byte for byte, on every
-recovery path — resume, streamed resume, S3 adoption under a fenced
-lease, and FaaS scatter adoption.  Every append index is a crash point;
+recovery path — resume, streamed resume from shard checkpoints, S3
+adoption under a fenced lease, and FaaS scatter adoption.  Every append index is a crash point;
 the engine-backed ``s3`` and the ``faas`` paths run a seeded sample.
 
 The default point (mid-way through the second accession) carries the
@@ -118,7 +118,7 @@ class TestDefaultCrashPoint:
 
 
 class TestShardAdoption:
-    @pytest.fixture(params=["s3", "faas"])
+    @pytest.fixture(params=["stream", "s3", "faas"])
     def adopted(self, request, default_crash):
         return default_crash(request.param)
 

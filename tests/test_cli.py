@@ -149,6 +149,27 @@ class TestPipelineCommand:
         assert "journal" in out  # both rows replayed, none re-run
         assert " run " not in out
 
+    def test_streamed_parallel_shard_checkpoints_then_resume(
+        self, capsys, tmp_path
+    ):
+        """--stream combines with --max-parallel and --shard-checkpoints."""
+        args = [
+            "pipeline",
+            "--stream",
+            "--max-parallel",
+            "2",
+            "--shard-checkpoints",
+            "--journal",
+            str(tmp_path / "batch.jsonl"),
+        ]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "streamed 6 accessions" in out
+        assert "0 pending" in out
+        assert main(args + ["--resume"]) == 0
+        out = capsys.readouterr().out
+        assert " run " not in out  # every row replayed from the journal
+
     def test_resume_requires_journal(self, capsys):
         assert main(["pipeline", "--accessions", "2", "--resume"]) == 2
         assert "--journal" in capsys.readouterr().err
