@@ -41,7 +41,7 @@ from repro.align.paired import (
     PairedStarAligner,
     PairStatus,
 )
-from repro.align.outcome import AlignmentOutcome
+from repro.align.outcome import AlignmentColumns, AlignmentOutcome
 from repro.align.pseudo import PseudoAligner, PseudoIndex
 from repro.align.sam import (
     SamRecord,
@@ -64,6 +64,7 @@ from repro.align.suffix_array import build_suffix_array, sa_search
 
 __all__ = [
     "AlignerBackend",
+    "AlignmentColumns",
     "AlignmentOutcome",
     "AlignmentStatus",
     "EngineBackend",

@@ -25,29 +25,36 @@ decision procedure with the per-symbol work hoisted into numpy:
   candidate placement of the batch in one fused comparison;
 * spliced stitching reuses one batched remainder seed per (read,
   orientation) where the serial path re-derives it per candidate
-  position — same deterministic result, computed once.
+  position — same deterministic result, computed once;
+* classification is array code too: the accepted candidates of the
+  whole batch are sorted once by (read, score, mismatches, start,
+  strand), which yields every read's locus count and reported
+  placement, and the outcomes come back as
+  :class:`~repro.align.outcome.AlignmentColumns` — no per-read object
+  is built.
 
 Every kernel is bit-identical to its per-read counterpart (the per-read
 path is retained as the reference oracle; see
 ``tests/align/test_batch.py``): seed walks stop at the same depth,
 extensions accept the same placements, stitching and the error bridge
-pick the same candidates, and classification is shared code.
+pick the same candidates, and classification picks what
+``StarAligner._choose`` picks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.align.extend import batch_ungapped_extend
+from repro.align.outcome import AlignmentColumns
 from repro.genome.alphabet import BASE_A, BASE_G, BASE_N, BASE_T, complement
-from repro.genome.model import SequenceRegion
 from repro.reads.fastq import as_columns
 
 if TYPE_CHECKING:
-    from repro.align.star import ReadAlignment, StarAligner
+    from repro.align.star import StarAligner
     from repro.reads.fastq import FastqRecord, ReadColumns
 
 __all__ = ["PackedReadBatch", "align_read_batch", "batch_mmp"]
@@ -428,29 +435,30 @@ def _batch_stitch(
     rem_contig: np.ndarray,
     rem_mm: np.ndarray,
     rem_ok: np.ndarray,
-) -> tuple[list[int], list[int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Best spliced stitch per failing candidate, resolved in one pass.
 
     Mirrors :func:`repro.align.splice.stitch_spliced`'s candidate loop —
     same filters, same (mismatches, intron length) tie-break — over the
     cross product of every failing candidate position and its segment's
-    batch-precomputed remainder hits.  Returns per-candidate lists of
+    batch-precomputed remainder hits.  Returns per-candidate arrays of
     winning mismatch counts (-1 when no stitch exists) and acceptors.
     The serial loop is first-wins on ties, but a tied key means equal
     mismatches and equal intron length, which pins the same acceptor, so
     a plain minimum reproduces it.
     """
     n_cand = int(cand_q_arr.size)
-    no_stitch = [-1] * n_cand
+    best_mm = np.full(n_cand, -1, dtype=np.int64)
+    best_acc = np.zeros(n_cand, dtype=np.int64)
     if not r_pos.size:
-        return no_stitch, [0] * n_cand
+        return best_mm, best_acc
     seg_rcount = np.zeros(int(seed_len.size), dtype=np.int64)
     seg_rcount[stitch_q] = r_counts
     seg_rstart = np.zeros(int(seed_len.size), dtype=np.int64)
     seg_rstart[stitch_q] = r_starts[:-1]
     k_idx = np.nonzero(~ext_accepts & (seg_rcount[cand_q_arr] > 0))[0]
     if not k_idx.size:
-        return no_stitch, [0] * n_cand
+        return best_mm, best_acc
 
     kc = seg_rcount[cand_q_arr[k_idx]]  # remainder hits per candidate
     pstart = np.zeros(k_idx.size, dtype=np.int64)
@@ -488,15 +496,10 @@ def _batch_stitch(
     need_sjdb = np.nonzero(valid & ~canonical)[0]
     ok = canonical
     if need_sjdb.size:
-        is_ann = index.is_annotated_junction
-        ann = [
-            is_ann(d, a)
-            for d, a in zip(
-                donor[need_sjdb].tolist(), acceptor[need_sjdb].tolist()
-            )
-        ]
         ok = canonical.copy()
-        ok[need_sjdb] = ann
+        ok[need_sjdb] = index.annotated_junctions(
+            donor[need_sjdb], acceptor[need_sjdb]
+        )
 
     # lexicographic (mismatches, intron length) minimum per candidate via
     # one packed int64 key; intron <= max_intron < 2**32 keeps it exact
@@ -507,31 +510,22 @@ def _batch_stitch(
     )
     best_key = np.minimum.reduceat(key, pstart)
     has = best_key < (np.int64(1) << 62)
-    best_mm = np.full(n_cand, -1, dtype=np.int64)
-    best_acc = np.zeros(n_cand, dtype=np.int64)
     best_mm[k_idx[has]] = (best_key >> 32)[has]
     best_acc[k_idx[has]] = donor_k[has] + (
         best_key & ((np.int64(1) << 32) - 1)
     )[has]
-    return best_mm.tolist(), best_acc.tolist()
+    return best_mm, best_acc
 
 
 def align_read_batch(
     aligner: "StarAligner", reads: "ReadColumns | list[FastqRecord]"
-) -> list["ReadAlignment"]:
+) -> AlignmentColumns:
     """Align a batch of reads through the vectorized core.
 
-    Returns one :class:`~repro.align.star.ReadAlignment` per read, in
-    order, each identical to what ``aligner.align_read`` produces for
-    the same read.  A record list is converted to columns on entry.
+    Returns the batch's outcomes as :class:`AlignmentColumns`, read ``i``
+    identical to what ``aligner.align_read`` produces for the same read.
+    A record list is converted to columns on entry.
     """
-    from repro.align.star import (
-        AlignmentStatus,
-        ReadAlignment,
-        _Candidate,
-        read_outcome,
-    )
-
     reads = as_columns(reads)
     index = aligner.index
     ctx = index.search_context
@@ -540,15 +534,12 @@ def align_read_batch(
 
     ids = reads.ids
     read_lengths = reads.lengths
-    out: list[ReadAlignment | None] = [None] * len(ids)
-    for r in np.flatnonzero(read_lengths == 0).tolist():
-        # zero-length reads can never seed (same early return as
-        # align_read)
-        out[r] = ReadAlignment(ids[r], AlignmentStatus.UNMAPPED)
-    live = np.flatnonzero(read_lengths).tolist()
-    n_live = len(live)
+    # zero-length reads can never seed (same early return as align_read):
+    # they keep the unmapped defaults below
+    live = np.flatnonzero(read_lengths)
+    n_live = int(live.size)
     if n_live == 0:
-        return out  # type: ignore[return-value]
+        return _outcome_columns(index, ids, live, _no_choice(0))
 
     # zero-length reads hold no bases, so the base column is the live pool
     batch = PackedReadBatch.pack(reads.bases, read_lengths[live])
@@ -561,7 +552,7 @@ def align_read_batch(
     depth, lo, hi = batch_mmp(ctx, bases, offsets, lengths)
     seed_len = depth
 
-    counts, cand_start, cand_pos_arr = _gather_positions(
+    counts, _, cand_pos_arr = _gather_positions(
         ctx, seed_len, lo, hi, params.seed_multimap_nmax
     )
     cand_q_arr = np.repeat(np.arange(n_segments, dtype=np.int64), counts)
@@ -597,8 +588,8 @@ def align_read_batch(
         cand_q_arr[path1_fails & (seed_len[cand_q_arr] < lengths[cand_q_arr])]
     ) if cand_q_arr.size else cand_q_arr
     # per-candidate stitch winners: mismatches (-1 = none) and acceptor
-    stitch_mm_l: list[int] = [-1] * int(cand_q_arr.size)
-    stitch_acc_l: list[int] = [0] * int(cand_q_arr.size)
+    stitch_mm = np.full(cand_q_arr.size, -1, dtype=np.int64)
+    stitch_acc = np.zeros(cand_q_arr.size, dtype=np.int64)
     if stitch_q.size:
         rem_depth, rem_lo, rem_hi = batch_mmp(
             ctx,
@@ -625,7 +616,7 @@ def align_read_batch(
             verified_prefix=rem_skip,
         )
         rem_contig = _contigs_of(index, r_pos)
-        stitch_mm_l, stitch_acc_l = _batch_stitch(
+        stitch_mm, stitch_acc = _batch_stitch(
             index,
             ctx,
             params,
@@ -644,63 +635,34 @@ def align_read_batch(
         )
 
     # -- pass A: contiguous + spliced candidates per orientation ------------
-    # plain-python mirrors of every per-candidate array: scalar numpy
-    # reads cost ~100ns apiece, which would dominate this loop
-    cands_by_q: list[list] = [[] for _ in range(n_segments)]
-    bridge_q: list[int] = []
-    seed_l = seed_len.tolist()
-    len_l = lengths.tolist()
-    starts_l = cand_start.tolist()
-    pos_l = cand_pos_arr.tolist()
-    acc_l = ext_accepts.tolist()
-    mm_l = ext_mm.tolist()
-    score_l = ext_score.tolist()
+    # a failing contiguous placement becomes its spliced stitch, if any;
+    # hit positions are unique within a segment, so each candidate is a
+    # distinct locus (the serial path's seen-set never fires here)
     max_mm = scoring.max_mismatches
-    for q in range(n_segments):
-        s, e = starts_l[q], starts_l[q + 1]
-        sl = seed_l[q]
-        n = len_l[q]
-        if s == e:
-            if 0 < sl < n:
-                bridge_q.append(q)
-            continue
-        cands = cands_by_q[q]
-        for k in range(s, e):
-            p = pos_l[k]
-            if acc_l[k]:
-                # hit positions are unique within a segment and nothing
-                # else appends contiguous candidates here, so the serial
-                # path's seen-set membership test is vacuously false
-                mm = mm_l[k]
-                cands.append(
-                    _Candidate(
-                        score=score_l[k],
-                        genome_start=p,
-                        mismatches=mm,
-                        blocks=((p, p + n),),
-                        spliced=False,
-                    )
-                )
-                continue
-            mm = stitch_mm_l[k]
-            if mm >= 0 and mm <= max_mm and n - mm >= min_frac * n:
-                acceptor = stitch_acc_l[k]
-                cands.append(
-                    _Candidate(
-                        score=(n - mm) * match_s - mm * mis_p,
-                        genome_start=p,
-                        mismatches=mm,
-                        blocks=((p, p + sl), (acceptor, acceptor + n - sl)),
-                        spliced=True,
-                    )
-                )
-        if not cands and 0 < sl < n:
-            bridge_q.append(q)
+    stitched = (
+        ~ext_accepts
+        & (stitch_mm >= 0)
+        & (stitch_mm <= max_mm)
+        & (cand_len - stitch_mm >= min_frac * cand_len)
+    )
+    keep = ext_accepts | stitched
+    cand_mm = np.where(ext_accepts, ext_mm, stitch_mm)
+    cand_score = np.where(
+        ext_accepts, ext_score, (cand_len - stitch_mm) * match_s - stitch_mm * mis_p
+    )
 
     # -- round 3: error-bridge re-seed for candidate-less orientations ------
-    bridge_set = [q for q in bridge_q if len_l[q] - (seed_l[q] + 1) >= 12]
-    if bridge_set:
-        bq_arr = np.asarray(bridge_set, dtype=np.int64)
+    has_cand = np.zeros(n_segments, dtype=bool)
+    has_cand[cand_q_arr[keep]] = True
+    bq_arr = np.flatnonzero(
+        ~has_cand
+        & (seed_len > 0)
+        & (seed_len < lengths)
+        & (lengths - (seed_len + 1) >= 12)
+    )
+    bq_flat = b_place = b_score = b_mm = np.zeros(0, dtype=np.int64)
+    b_keep = np.zeros(0, dtype=bool)
+    if bq_arr.size:
         bridge_starts = seed_len[bq_arr] + 1
         b_depth, b_lo, b_hi = batch_mmp(
             ctx,
@@ -708,7 +670,7 @@ def align_read_batch(
             offsets[bq_arr] + bridge_starts,
             lengths[bq_arr] - bridge_starts,
         )
-        b_counts, b_starts, b_hits = _gather_positions(
+        b_counts, _, b_hits = _gather_positions(
             ctx, b_depth, b_lo, b_hi, params.seed_multimap_nmax
         )
         bq_flat = np.repeat(bq_arr, b_counts)
@@ -722,62 +684,155 @@ def align_read_batch(
             max_mismatches=scoring.max_mismatches,
         )
         b_len = lengths[bq_flat]
-        b_accepts = b_ok & ((b_len - b_mm) >= min_frac * b_len)
+        # the bridge only runs when pass A accepted nothing, so its hits
+        # are distinct loci too — only the off-genome guard has effect
+        b_keep = b_ok & ((b_len - b_mm) >= min_frac * b_len) & (b_place >= 0)
         b_score = (b_len - b_mm) * match_s - b_mm * mis_p
-        b_starts_l = b_starts.tolist()
-        b_place_l = b_place.tolist()
-        b_acc_l = b_accepts.tolist()
-        b_mm_l = b_mm.tolist()
-        b_score_l = b_score.tolist()
-        for j, q in enumerate(bridge_set):
-            n = len_l[q]
-            cands = cands_by_q[q]
-            # the bridge only runs when pass A accepted nothing, so the
-            # serial path's seen-set is empty on entry and bridge hits are
-            # unique — only the off-genome placement guard has effect
-            for k in range(b_starts_l[j], b_starts_l[j + 1]):
-                p = b_place_l[k]
-                if p < 0:
-                    continue
-                if b_acc_l[k]:
-                    cands.append(
-                        _Candidate(
-                            score=b_score_l[k],
-                            genome_start=p,
-                            mismatches=b_mm_l[k],
-                            blocks=((p, p + n),),
-                            spliced=False,
-                        )
-                    )
 
-    # -- classification (shared with the per-read path) ----------------------
-    choose = aligner._choose
-    choices = [
-        choose(cands_by_q[i], cands_by_q[n_live + i]) for i in range(n_live)
-    ]
-    # every chosen block's contig coordinates from one searchsorted
-    spans = np.array(
-        [
-            span
-            for _, _, chosen, _ in choices
-            if chosen is not None
-            for span in chosen.blocks
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 2)
-    contig = _contigs_of(index, spans[:, 0])
-    local = spans[:, 0] - np.asarray(index.offsets, dtype=np.int64)[contig]
-    local_end = local + (spans[:, 1] - spans[:, 0])
-    names = index.names
-    regions = [
-        SequenceRegion(names[c], start, end)
-        for c, start, end in zip(
-            contig.tolist(), local.tolist(), local_end.tolist()
-        )
-    ]
-    k = 0
-    for r, choice in zip(live, choices):
-        n_blocks = len(choice[2].blocks) if choice[2] is not None else 0
-        out[r] = read_outcome(ids[r], choice, tuple(regions[k : k + n_blocks]))
-        k += n_blocks
-    return out  # type: ignore[return-value]
+    n_bridge = int(np.count_nonzero(b_keep))
+    choice = _choose_columns(
+        n_live,
+        params.multimap_nmax,
+        np.concatenate([cand_q_arr[keep], bq_flat[b_keep]]),
+        np.concatenate([cand_pos_arr[keep], b_place[b_keep]]),
+        np.concatenate([cand_score[keep], b_score[b_keep]]),
+        np.concatenate([cand_mm[keep], b_mm[b_keep]]),
+        np.concatenate([stitched[keep], np.zeros(n_bridge, dtype=bool)]),
+        np.concatenate([stitch_acc[keep], np.zeros(n_bridge, dtype=np.int64)]),
+        seed_len,
+        lengths,
+    )
+    return _outcome_columns(index, ids, live, choice)
+
+
+# --------------------------------------------------------------------------
+# classification, as arrays
+# --------------------------------------------------------------------------
+
+#: STATUSES codes (enum order)
+_UNIQUE, _MULTI, _TOO_MANY, _UNMAPPED = range(4)
+
+
+class _Choice(NamedTuple):
+    """Per-live-read classification plus the chosen blocks (absolute
+    genome coordinates, CSR by ``n_blocks``)."""
+
+    status: np.ndarray
+    strand: np.ndarray
+    n_loci: np.ndarray
+    score: np.ndarray
+    mismatches: np.ndarray
+    spliced: np.ndarray
+    n_blocks: np.ndarray
+    block_start: np.ndarray
+    block_end: np.ndarray
+
+
+def _no_choice(n: int) -> _Choice:
+    """``n`` unmapped reads."""
+    return _Choice(
+        np.full(n, _UNMAPPED, dtype=np.int8),
+        np.zeros(n, dtype=np.int8),
+        *(np.zeros(n, dtype=np.int64) for _ in range(3)),
+        np.zeros(n, dtype=bool),
+        np.zeros(n, dtype=np.int64),
+        np.zeros(0, dtype=np.int64),
+        np.zeros(0, dtype=np.int64),
+    )
+
+
+def _choose_columns(
+    n_live: int,
+    multimap_nmax: int,
+    seg: np.ndarray,
+    start: np.ndarray,
+    score: np.ndarray,
+    mismatches: np.ndarray,
+    spliced: np.ndarray,
+    acceptor: np.ndarray,
+    seed_len: np.ndarray,
+    lengths: np.ndarray,
+) -> _Choice:
+    """:meth:`StarAligner._choose` for every read of a batch at once.
+
+    One row per accepted candidate: its segment (forward reads first,
+    then their reverse complements), genome start, score, mismatches
+    and, for spliced rows, the acceptor.  Starts are unique within a
+    segment, so a read's locus count is its number of best-scoring rows
+    (a shared start on both strands is two loci, as in ``_choose``).
+    The reported row is the lexicographic minimum of (mismatches, start),
+    forward first on a tie — ``min`` over ``best_fwd + best_rev``.  A read
+    whose best score is negative is unmapped, as is one without rows.
+    """
+    out = _no_choice(n_live)
+    if not seg.size:
+        return out
+    fwd = seg < n_live
+    read = np.where(fwd, seg, seg - n_live)
+    order = np.lexsort((~fwd, start, mismatches, -score, read))
+    read = read[order]
+    score = score[order]
+    first = np.flatnonzero(np.r_[True, read[1:] != read[:-1]])
+    best = np.zeros(n_live, dtype=np.int64)
+    best[read[first]] = score[first]
+    n_loci = np.bincount(read[score == best[read]], minlength=n_live)
+    mapped = first[score[first] >= 0]
+    r = read[mapped]
+    loci = n_loci[r]
+    placed = loci <= multimap_nmax
+    out.status[r] = np.where(placed, np.where(loci == 1, _UNIQUE, _MULTI), _TOO_MANY)
+    out.n_loci[r] = loci
+
+    # the reported placement of every unique or multimapped read
+    row = order[mapped[placed]]
+    r = r[placed]
+    out.strand[r] = np.where(fwd[row], 1, 2)  # STRANDS codes
+    out.score[r] = score[mapped[placed]]
+    out.mismatches[r] = mismatches[row]
+    out.spliced[r] = spliced[row]
+    # contiguous rows cover the read; spliced rows its seed prefix, then
+    # the remainder from the acceptor
+    q = seg[row]
+    n = lengths[q]
+    first_len = np.where(spliced[row], seed_len[q], n)
+    n_blocks = 1 + spliced[row]
+    block_at = np.zeros(int(n_blocks.sum()), dtype=np.int64)
+    block_len = np.zeros_like(block_at)
+    head = np.cumsum(n_blocks) - n_blocks
+    block_at[head] = start[row]
+    block_len[head] = first_len
+    tail = head[spliced[row]] + 1
+    block_at[tail] = acceptor[row][spliced[row]]
+    block_len[tail] = (n - first_len)[spliced[row]]
+    out.n_blocks[r] = n_blocks
+    return out._replace(block_start=block_at, block_end=block_at + block_len)
+
+
+def _outcome_columns(
+    index, ids: list[str], live: np.ndarray, choice: _Choice
+) -> AlignmentColumns:
+    """Scatter the live reads' choice into whole-batch columns (reads not
+    live stay unmapped), mapping blocks to contig coordinates with one
+    ``searchsorted``."""
+    n = len(ids)
+    full = _no_choice(n)
+    for column, values in zip(full[:7], choice[:7]):  # the per-read fields
+        column[live] = values
+    block_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(full.n_blocks, out=block_offsets[1:])
+    contig = _contigs_of(index, choice.block_start)
+    local = choice.block_start - np.asarray(index.offsets, dtype=np.int64)[contig]
+    return AlignmentColumns(
+        ids,
+        full.status,
+        full.strand,
+        full.n_loci,
+        full.score,
+        full.mismatches,
+        full.spliced,
+        block_offsets,
+        contig,
+        local,
+        local + (choice.block_end - choice.block_start),
+        tuple(index.names),
+    )

@@ -11,9 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.genome.annotation import Annotation, Gene, Strand
 from repro.genome.model import SequenceRegion
+
+if TYPE_CHECKING:
+    from repro.align.outcome import AlignmentColumns
 
 #: Column order of ReadsPerGene.out.tab after the gene id.
 STRAND_COLUMNS = ("unstranded", "forward", "reverse")
@@ -98,6 +104,78 @@ class GeneCounts:
         opposite = [g for g in overlapping if g.strand is not read_strand]
         self._tally("forward", same)
         self._tally("reverse", opposite)
+
+    def record_columns(self, outcomes: AlignmentColumns) -> None:
+        """Count a batch of single-end outcomes, as looping the per-read
+        rule would: :meth:`record_unique` for each unique read,
+        :meth:`record_multimapped` for multimapped and too-many-loci
+        reads, :meth:`record_unmapped` for the rest.
+
+        Every unique read's blocks resolve against the gene-extent index
+        in one :meth:`Annotation.overlap_pairs` call per contig; distinct
+        (read, gene) pairs then give each read's gene count per
+        strandedness convention.
+        """
+        from repro.align.star import AlignmentStatus
+
+        def n_with(status: AlignmentStatus) -> int:
+            return int(np.count_nonzero(outcomes.status_is(status)))
+
+        self.n_unmapped += n_with(AlignmentStatus.UNMAPPED)
+        self.n_multimapping += n_with(AlignmentStatus.MULTIMAPPED) + n_with(
+            AlignmentStatus.TOO_MANY_LOCI
+        )
+        unique = np.flatnonzero(outcomes.status_is(AlignmentStatus.UNIQUE))
+        if not unique.size:
+            return
+        # the unique reads' blocks, each tagged with its read's position
+        # in ``unique``
+        offsets = outcomes.block_offsets
+        n_blocks = offsets[unique + 1] - offsets[unique]
+        block_read = np.repeat(np.arange(unique.size, dtype=np.int64), n_blocks)
+        block = (
+            np.repeat(offsets[unique] - (np.cumsum(n_blocks) - n_blocks), n_blocks)
+            + np.arange(block_read.size, dtype=np.int64)
+        )
+        contig = outcomes.block_contig[block]
+        pair_read, pair_gene = [], []
+        for c in np.unique(contig).tolist():
+            on = contig == c
+            rows, genes = self.annotation.overlap_pairs(
+                outcomes.contigs[c],
+                outcomes.block_start[block[on]],
+                outcomes.block_end[block[on]],
+            )
+            pair_read.append(block_read[on][rows])
+            pair_gene.append(genes)
+        n_genes = max(1, len(self.annotation.genes))
+        pairs = np.unique(
+            np.concatenate(pair_read + [np.zeros(0, dtype=np.int64)]) * n_genes
+            + np.concatenate(pair_gene + [np.zeros(0, dtype=np.int64)])
+        )
+        read, gene = np.divmod(pairs, n_genes)
+        # strand codes: 1 forward, 2 reverse (0, no strand, matches none)
+        gene_strand = np.where(self.annotation.forward_genes()[gene], 1, 2)
+        same = gene_strand == outcomes.strand[unique][read]
+        for column, mask in (
+            ("unstranded", slice(None)),
+            ("forward", same),
+            ("reverse", ~same),
+        ):
+            self._tally_columns(column, unique.size, read[mask], gene[mask])
+
+    def _tally_columns(
+        self, column: str, n_reads: int, read: np.ndarray, gene: np.ndarray
+    ) -> None:
+        """:meth:`_tally` for ``n_reads`` reads given their distinct
+        (read, gene) pairs."""
+        per_read = np.bincount(read, minlength=n_reads)
+        self.n_no_feature[column] += int(np.count_nonzero(per_read == 0))
+        self.n_ambiguous[column] += int(np.count_nonzero(per_read > 1))
+        assigned, hits = np.unique(gene[per_read[read] == 1], return_counts=True)
+        genes = self.annotation.genes
+        for ordinal, n in zip(assigned.tolist(), hits.tolist()):
+            self._row(genes[ordinal].gene_id)[column] += n
 
     def _tally(self, column: str, genes: list[Gene]) -> None:
         if not genes:

@@ -58,6 +58,8 @@ class GenomeIndex:
         # per junction check, where bisect on a list beats a one-element
         # np.searchsorted by ~100x
         self._offsets_list = [int(o) for o in self.offsets]
+        # packed absolute sjdb keys, built on the first batched lookup
+        self._sjdb_keys: np.ndarray | None = None
 
     @property
     def search_context(self):
@@ -131,6 +133,33 @@ class GenomeIndex:
             return self.junction_key(donor_abs, acceptor_abs) in self.sjdb
         except ValueError:
             return False
+
+    def annotated_junctions(
+        self, donor_abs: np.ndarray, acceptor_abs: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`is_annotated_junction` for arrays of junctions at once.
+
+        Positions must lie inside the genome.  The sjdb is matched as
+        packed absolute ``(donor, acceptor)`` keys of the junctions whose
+        both ends lie inside their contig — exactly the keys the scalar
+        check can find — built on first use, so the sjdb must not change
+        after that.
+        """
+        width = self.n_bases + 1
+        if self._sjdb_keys is None:
+            keys = []
+            for contig, start, end in self.sjdb:
+                c = self._name_to_ordinal.get(contig)
+                if c is None:
+                    continue
+                base = self._offsets_list[c]
+                length = self._offsets_list[c + 1] - base
+                if 0 <= start < length and 0 <= end < length:
+                    keys.append((base + start) * width + base + end)
+            self._sjdb_keys = np.array(keys, dtype=np.int64)
+        donor = np.asarray(donor_abs, dtype=np.int64)
+        acceptor = np.asarray(acceptor_abs, dtype=np.int64)
+        return np.isin(donor * width + acceptor, self._sjdb_keys)
 
     # -- size accounting ---------------------------------------------------
 

@@ -8,16 +8,20 @@ ship — computes each shard with a pure
 per-shard function, and merges the shard values strictly in read order
 into one :class:`~repro.align.star.StarRunResult` (single-end) or
 :class:`~repro.align.paired.PairedRunResult` (paired-end).  The merge is
-where the paper's early stopping (§III-B) lives: reads are tallied as
-they land, a ``Log.progress.out`` snapshot goes out every
-``progress_every`` reads, and the monitor hook may abort the run at any
-snapshot.  :func:`run_shards` owns all of that once, together with the
-shard schedule and shard checkpoints.  Two things vary per call:
+where the paper's early stopping (§III-B) lives: a ``Log.progress.out``
+snapshot goes out every ``progress_every`` reads, and the monitor hook
+may abort the run at any snapshot.  :func:`run_shards` owns all of that
+once, together with the shard schedule and shard checkpoints, and works
+a shard at a time: snapshot counts come from running sums over the
+shard, and an abort keeps a slice of it.  Two things vary per call:
 
 * the **codec** (:class:`SingleEndCodec` / :class:`PairedEndCodec`)
   knows the library layout: the pure per-shard function, the status
   tally and GeneCounts rules, and how the final statistics and the
-  result are built;
+  result are built.  Single-end shard outcomes are
+  :class:`~repro.align.outcome.AlignmentColumns`, tallied and counted
+  with array operations; paired-end ones are lists of
+  :class:`~repro.align.paired.PairedOutcome`;
 * the **executor** decides where shards run.  It maps an iterable of
   payloads to ``(payload, value)`` pairs in payload order: inline (the
   default, a lazy map in this process), the engine's worker pool
@@ -36,7 +40,10 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
+import numpy as np
+
 from repro.align.counts import GeneCounts, GeneCountsPartial
+from repro.align.outcome import AlignmentColumns
 from repro.align.paired import (
     PairedOutcome,
     PairedRunResult,
@@ -47,7 +54,6 @@ from repro.align.progress import FinalLogStats, ProgressRecord
 from repro.align.star import (
     AlignmentStatus,
     ProgressMonitorHook,
-    ReadAlignment,
     StarAligner,
     StarRunResult,
 )
@@ -55,9 +61,10 @@ from repro.reads.fastq import PairedColumns, ReadColumns, as_columns
 
 __all__ = ["PairedEndCodec", "SingleEndCodec", "column_feed", "run_shards"]
 
-#: One shard's value: outcomes, its GeneCounts partial (None without
+#: One shard's value: outcomes (:class:`AlignmentColumns`, or a list of
+#: :class:`PairedOutcome`), its GeneCounts partial (None without
 #: quantification) and its seed-search counter delta.
-ShardValue = tuple[list, GeneCountsPartial | None, dict]
+ShardValue = tuple[AlignmentColumns | list, GeneCountsPartial | None, dict]
 
 #: Maps payloads to ``(payload, value)`` pairs, in payload order.
 Executor = Callable[[Iterable], Iterator[tuple[object, ShardValue]]]
@@ -190,8 +197,7 @@ class _Codec:
         partial = None
         if self.annotation is not None:
             counts = GeneCounts(self.annotation)
-            for outcome in outcomes:
-                self.count(counts, outcome)
+            self.count(counts, outcomes)
             partial = counts.to_partial()
         return outcomes, partial, stats.since(before)
 
@@ -217,39 +223,42 @@ class SingleEndCodec(_Codec):
         self.unique = self.multi = self.too_many = self.unmapped = 0
         self.spliced = self.mismatch_bases = self.aligned_bases = 0
 
-    def _outcomes(self, reads: ReadColumns) -> list[ReadAlignment]:
+    def _outcomes(self, reads: ReadColumns) -> AlignmentColumns:
         # the vectorized batch core, or the per-read oracle when
         # StarParameters.batch_align is off
         return self.aligner.align_batch(reads)
 
     @staticmethod
-    def count(counts: GeneCounts, outcome: ReadAlignment) -> None:
+    def count(counts: GeneCounts, outcomes: AlignmentColumns) -> None:
         """GeneCounts rule: unique reads are assigned to genes."""
-        if outcome.status is AlignmentStatus.UNIQUE:
-            counts.record_unique(list(outcome.blocks), outcome.strand)
-        elif outcome.status in (
-            AlignmentStatus.MULTIMAPPED,
-            AlignmentStatus.TOO_MANY_LOCI,
-        ):
-            counts.record_multimapped()
-        else:
-            counts.record_unmapped()
+        counts.record_columns(outcomes)
 
-    def tally(self, outcome: ReadAlignment) -> None:
-        status = outcome.status
-        if status is AlignmentStatus.UNIQUE:
-            self.unique += 1
-            self.spliced += outcome.spliced
-            self.mismatch_bases += outcome.mismatches
-            # the blocks tile the read (whole, or prefix + remainder), so
-            # their lengths sum to the read length
-            self.aligned_bases += sum(b.end - b.start for b in outcome.blocks)
-        elif status is AlignmentStatus.MULTIMAPPED:
-            self.multi += 1
-        elif status is AlignmentStatus.TOO_MANY_LOCI:
-            self.too_many += 1
-        else:
-            self.unmapped += 1
+    @staticmethod
+    def join(parts: list[AlignmentColumns]) -> AlignmentColumns:
+        return AlignmentColumns.concat(parts)
+
+    @staticmethod
+    def mapped_flags(outcomes: AlignmentColumns) -> tuple[np.ndarray, np.ndarray]:
+        """Per-read (unique, multimapped) flags, for progress snapshots."""
+        return (
+            outcomes.status_is(AlignmentStatus.UNIQUE),
+            outcomes.status_is(AlignmentStatus.MULTIMAPPED),
+        )
+
+    def tally(self, outcomes: AlignmentColumns) -> None:
+        unique, multi, too_many, unmapped = np.bincount(
+            outcomes.status, minlength=4
+        ).tolist()
+        self.unique += unique
+        self.multi += multi
+        self.too_many += too_many
+        self.unmapped += unmapped
+        is_unique = outcomes.status_is(AlignmentStatus.UNIQUE)
+        self.spliced += int(np.count_nonzero(outcomes.spliced[is_unique]))
+        self.mismatch_bases += int(outcomes.mismatches[is_unique].sum())
+        # the blocks tile the read (whole, or prefix + remainder), so
+        # their lengths sum to the read length
+        self.aligned_bases += int(outcomes.block_lengths()[is_unique].sum())
 
     def mapped(self) -> tuple[int, int]:
         """``(unique, multi)`` as the progress file reports them."""
@@ -301,36 +310,49 @@ class PairedEndCodec(_Codec):
         ]
 
     @staticmethod
-    def count(counts: GeneCounts, outcome: PairedOutcome) -> None:
+    def count(counts: GeneCounts, outcomes: list[PairedOutcome]) -> None:
         """GeneCounts rule: each pair counts once, via its unique mates."""
-        if outcome.status is PairStatus.PROPER_PAIR:
-            blocks = list(outcome.mate1.blocks) + list(outcome.mate2.blocks)
-            counts.record_unique(blocks, outcome.mate1.strand)
-        elif outcome.status is PairStatus.ONE_MATE:
-            unique = (
-                outcome.mate1
-                if outcome.mate1.status is AlignmentStatus.UNIQUE
-                else outcome.mate2
-            )
-            counts.record_unique(list(unique.blocks), unique.strand)
-        elif outcome.status in (PairStatus.DISCORDANT, PairStatus.MULTIMAPPED):
-            counts.record_multimapped()
-        else:
-            counts.record_unmapped()
+        for outcome in outcomes:
+            if outcome.status is PairStatus.PROPER_PAIR:
+                blocks = list(outcome.mate1.blocks) + list(outcome.mate2.blocks)
+                counts.record_unique(blocks, outcome.mate1.strand)
+            elif outcome.status is PairStatus.ONE_MATE:
+                unique = (
+                    outcome.mate1
+                    if outcome.mate1.status is AlignmentStatus.UNIQUE
+                    else outcome.mate2
+                )
+                counts.record_unique(list(unique.blocks), unique.strand)
+            elif outcome.status in (PairStatus.DISCORDANT, PairStatus.MULTIMAPPED):
+                counts.record_multimapped()
+            else:
+                counts.record_unmapped()
 
-    def tally(self, outcome: PairedOutcome) -> None:
-        status = outcome.status
-        if status is PairStatus.PROPER_PAIR:
-            self.proper += 1
-        elif status is PairStatus.ONE_MATE:
-            self.one_mate += 1
-        elif status is PairStatus.DISCORDANT:
-            self.discordant += 1
-        elif status is PairStatus.MULTIMAPPED:
-            self.multi += 1
-        else:
-            self.unmapped += 1
-        self.spliced += outcome.mate1.spliced or outcome.mate2.spliced
+    @staticmethod
+    def join(parts: list[list[PairedOutcome]]) -> list[PairedOutcome]:
+        return [outcome for part in parts for outcome in part]
+
+    @staticmethod
+    def mapped_flags(outcomes: list[PairedOutcome]) -> tuple[np.ndarray, np.ndarray]:
+        """Per-pair flags for the progress file's (unique, multi) counts."""
+        multi = np.array([o.status is PairStatus.MULTIMAPPED for o in outcomes], bool)
+        mapped = np.array([o.status.is_mapped for o in outcomes], bool)
+        return mapped & ~multi, multi
+
+    def tally(self, outcomes: list[PairedOutcome]) -> None:
+        for outcome in outcomes:
+            status = outcome.status
+            if status is PairStatus.PROPER_PAIR:
+                self.proper += 1
+            elif status is PairStatus.ONE_MATE:
+                self.one_mate += 1
+            elif status is PairStatus.DISCORDANT:
+                self.discordant += 1
+            elif status is PairStatus.MULTIMAPPED:
+                self.multi += 1
+            else:
+                self.unmapped += 1
+            self.spliced += outcome.mate1.spliced or outcome.mate2.spliced
 
     def mapped(self) -> tuple[int, int]:
         return self.proper + self.one_mate + self.discordant, self.multi
@@ -429,18 +451,18 @@ def run_shards(
     merged shard, replayed ones included.
     """
     started = clock()
-    outcomes: list = []
+    parts: list = []
+    processed = 0
     progress: list[ProgressRecord] = []
     counts = GeneCounts(codec.annotation) if codec.annotation is not None else None
     every = codec.progress_every
     aborted = False
 
-    def report() -> bool:
+    def report(processed: int, unique: int, multi: int) -> bool:
         """Log a progress snapshot; True when the monitor says stop."""
-        unique, multi = codec.mapped()
         record = ProgressRecord(
             elapsed_seconds=max(0.0, clock() - started),
-            reads_processed=len(outcomes),
+            reads_processed=processed,
             reads_total=total,
             mapped_unique=unique,
             mapped_multi=multi,
@@ -460,21 +482,36 @@ def run_shards(
                 health.seed_search.merge(seed_stats)
                 if codec.batch_align:
                     health.batch_core_batches += 1
-            consumed = 0
-            for outcome in shard_outcomes:
-                outcomes.append(outcome)
-                codec.tally(outcome)
-                consumed += 1
-                if len(outcomes) % every == 0 and report():
-                    aborted = True
-                    break
-            whole = consumed == len(shard_outcomes)
+            # a snapshot is due each time the running read count reaches
+            # a multiple of ``every``: after ``end`` reads of this shard,
+            # for each ``end`` in ``ends``
+            n = len(shard_outcomes)
+            consumed = n
+            ends = range(every - processed % every, n + 1, every)
+            if ends:
+                unique, multi = codec.mapped()
+                unique_flags, multi_flags = codec.mapped_flags(shard_outcomes)
+                unique_run = np.cumsum(unique_flags)
+                multi_run = np.cumsum(multi_flags)
+                for end in ends:
+                    if report(
+                        processed + end,
+                        unique + int(unique_run[end - 1]),
+                        multi + int(multi_run[end - 1]),
+                    ):
+                        aborted = True
+                        consumed = end
+                        break
+            whole = consumed == n
+            kept = shard_outcomes if whole else shard_outcomes[:consumed]
+            parts.append(kept)
+            codec.tally(kept)
+            processed += consumed
             if counts is not None:
                 if whole and partial is not None:
                     counts.merge_partial(partial)
                 else:
-                    for outcome in shard_outcomes[:consumed]:
-                        codec.count(counts, outcome)
+                    codec.count(counts, kept)
             if checkpoint is not None and whole and not replayed and not aborted:
                 checkpoint.record(*span, shard_outcomes, partial, seed_stats)
             if aborted:
@@ -484,10 +521,10 @@ def run_shards(
 
     # closing snapshot (STAR writes a last progress line at completion);
     # an abort always happens right after a snapshot, so none is due then
-    if not progress or progress[-1].reads_processed != len(outcomes):
-        aborted = report()
+    if not progress or progress[-1].reads_processed != processed:
+        aborted = report(processed, *codec.mapped())
     return codec.result(
-        outcomes,
+        codec.join(parts),
         progress,
         counts,
         total=total,

@@ -15,7 +15,7 @@ import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -39,6 +39,9 @@ from repro.genome.alphabet import reverse_complement
 from repro.genome.annotation import Strand
 from repro.genome.model import SequenceRegion
 from repro.reads.fastq import FastqRecord, ReadColumns
+
+if TYPE_CHECKING:
+    from repro.align.outcome import AlignmentColumns
 
 
 class AlignmentStatus(enum.Enum):
@@ -101,8 +104,8 @@ class ReadAlignment:
 
 
 class _Candidate(NamedTuple):
-    """Internal: one scored placement of one read orientation (a named
-    tuple: the batch core builds one per candidate)."""
+    """Internal: one scored placement of one read orientation (the
+    per-read path's)."""
 
     score: int
     genome_start: int
@@ -115,35 +118,19 @@ class _Candidate(NamedTuple):
 Choice = tuple[AlignmentStatus, Strand | None, _Candidate | None, int]
 
 
-def read_outcome(
-    read_id: str, choice: Choice, blocks: tuple[SequenceRegion, ...]
-) -> ReadAlignment:
-    """Materialize a chosen placement; ``blocks`` are its blocks in contig
-    coordinates."""
-    status, strand, chosen, n_loci = choice
-    if chosen is None:
-        return ReadAlignment(read_id, status, n_loci=n_loci)
-    return ReadAlignment(
-        read_id=read_id,
-        status=status,
-        strand=strand,
-        score=chosen.score,
-        n_loci=n_loci,
-        mismatches=chosen.mismatches,
-        blocks=blocks,
-        spliced=chosen.spliced,
-    )
-
-
 class RunAborted(Exception):
     """Raised internally when the monitor requests termination."""
 
 
 @dataclass
 class StarRunResult:
-    """Everything a run produces (STAR's output directory, in-memory)."""
+    """Everything a run produces (STAR's output directory, in-memory).
 
-    outcomes: list[ReadAlignment]
+    ``outcomes`` are :class:`~repro.align.outcome.AlignmentColumns`;
+    indexing or iterating them yields :class:`ReadAlignment` objects.
+    """
+
+    outcomes: AlignmentColumns
     progress: list[ProgressRecord]
     final: FinalLogStats
     gene_counts: GeneCounts | None
@@ -215,21 +202,26 @@ class StarAligner:
 
     def align_batch(
         self, reads: ReadColumns | list[FastqRecord]
-    ) -> list[ReadAlignment]:
+    ) -> AlignmentColumns:
         """Align a batch of reads; uses the batch core when enabled.
 
         Dispatching whole batches amortizes per-read Python overhead into
         vectorized kernels (see :mod:`repro.align.batch`); results are
         bit-identical to mapping :meth:`align_read` over the reads, which
-        is what runs (on records) when ``batch_align`` is off.
+        is what runs (on records) when ``batch_align`` is off.  Either
+        way the outcomes come back as columns.
         """
         if self.parameters.batch_align:
             from repro.align.batch import align_read_batch
 
             return align_read_batch(self, reads)
+        from repro.align.outcome import AlignmentColumns
+
         if isinstance(reads, ReadColumns):
             reads = reads.records()
-        return [self.align_read(record) for record in reads]
+        return AlignmentColumns.from_records(
+            self.align_read(record) for record in reads
+        )
 
     def _classify(
         self,
@@ -238,21 +230,31 @@ class StarAligner:
         rev_cands: list[_Candidate],
     ) -> ReadAlignment:
         """Classify one read's candidate sets (the per-read path)."""
-        choice = self._choose(fwd_cands, rev_cands)
-        chosen = choice[2]
+        status, strand, chosen, n_loci = self._choose(fwd_cands, rev_cands)
+        if chosen is None:
+            return ReadAlignment(read_id, status, n_loci=n_loci)
         blocks = []
-        if chosen is not None:
-            for start, end in chosen.blocks:
-                contig, local = self.index.to_contig_coords(start)
-                blocks.append(SequenceRegion(contig, local, local + (end - start)))
-        return read_outcome(read_id, choice, tuple(blocks))
+        for start, end in chosen.blocks:
+            contig, local = self.index.to_contig_coords(start)
+            blocks.append(SequenceRegion(contig, local, local + (end - start)))
+        return ReadAlignment(
+            read_id=read_id,
+            status=status,
+            strand=strand,
+            score=chosen.score,
+            n_loci=n_loci,
+            mismatches=chosen.mismatches,
+            blocks=tuple(blocks),
+            spliced=chosen.spliced,
+        )
 
     def _choose(
         self, fwd_cands: list[_Candidate], rev_cands: list[_Candidate]
     ) -> Choice:
         """Pick a read's reported placement per STAR's rules.
 
-        Shared by the per-read and batch paths.  Returns ``(status,
+        The per-read oracle of the batch core's columnar classification
+        (:func:`repro.align.batch._choose_columns`).  Returns ``(status,
         strand, chosen, n_loci)``; ``chosen`` is None when the read is
         unmapped or maps to too many loci.
         """

@@ -493,13 +493,19 @@ class TranscriptomicsAtlasPipeline:
                 "streaming does not support read trimming: reads are "
                 "consumed as they arrive, before the full set exists"
             )
-        run_journal: RunJournal | None = None
-        if options.journal is not None:
-            run_journal = (
-                options.journal
-                if isinstance(options.journal, RunJournal)
-                else RunJournal(options.journal)
-            )
+        if options.journal is None or isinstance(options.journal, RunJournal):
+            # a caller's journal stays open for the caller to close
+            return self._run_batch(accessions, options, options.journal)
+        with RunJournal(options.journal) as run_journal:
+            return self._run_batch(accessions, options, run_journal)
+
+    def _run_batch(
+        self,
+        accessions: list[str],
+        options: BatchOptions,
+        run_journal: RunJournal | None,
+    ) -> list[PipelineResult]:
+        """:meth:`run_batch` once its journal is open."""
         replayed: dict[str, PipelineResult] = {}
         replayed_shards: dict[str, dict] = {}
         fingerprint = config_fingerprint(self.config)

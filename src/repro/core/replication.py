@@ -43,11 +43,14 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.align.counts import GeneCountsPartial
+from repro.align.outcome import AlignmentColumns
 from repro.align.paired import PairedOutcome, PairStatus
 from repro.align.star import AlignmentStatus, ReadAlignment
 from repro.cloud.s3 import PreconditionFailed, S3Bucket
@@ -470,6 +473,17 @@ def _decode_outcome(v: list) -> ReadAlignment:
     )
 
 
+def _encode_columns(c: AlignmentColumns) -> dict:
+    """Every field of the columns by name, as JSON lists."""
+    encoded = {}
+    for f in fields(c):
+        value = getattr(c, f.name)
+        encoded[f.name] = (
+            value.tolist() if isinstance(value, np.ndarray) else list(value)
+        )
+    return encoded
+
+
 def _encode_partial(p: GeneCountsPartial | None) -> dict | None:
     if p is None:
         return None
@@ -516,17 +530,18 @@ def _decode_pair(v: list) -> PairedOutcome:
 
 
 def encode_shard_payload(
-    outcomes: list,
+    outcomes: AlignmentColumns | list,
     partial: GeneCountsPartial | None,
     seed_stats: dict,
 ) -> dict:
     """JSON-safe form of one worker batch result (the ``shard`` field of
     an ``align.shard`` record).
 
-    Accepts both library layouts: single-end :class:`ReadAlignment`
-    lists land under ``"o"``, paired :class:`PairedOutcome` lists under
-    ``"po"`` — so a paired checkpoint can never be mistaken for a
-    single-end one on replay.
+    Accepts both library layouts: single-end outcomes
+    (:class:`AlignmentColumns`, or a :class:`ReadAlignment` list) land
+    as version-2 columns under ``"c"``, paired :class:`PairedOutcome`
+    lists under ``"po"`` — so a paired checkpoint can never be mistaken
+    for a single-end one on replay.
     """
     stats = dict(seed_stats)
     # JSON stringifies int dict keys; keep them explicit so decode is exact
@@ -537,26 +552,38 @@ def encode_shard_payload(
         "gc": _encode_partial(partial),
         "ss": stats,
     }
-    if outcomes and isinstance(outcomes[0], PairedOutcome):
-        payload["po"] = [_encode_pair(o) for o in outcomes]
-    else:
-        payload["o"] = [_encode_outcome(o) for o in outcomes]
+    if not isinstance(outcomes, AlignmentColumns):
+        if outcomes and isinstance(outcomes[0], PairedOutcome):
+            payload["po"] = [_encode_pair(o) for o in outcomes]
+            return payload
+        outcomes = AlignmentColumns.from_records(outcomes)
+    payload["v"] = 2
+    payload["c"] = _encode_columns(outcomes)
     return payload
 
 
 def decode_shard_payload(
     payload: dict,
-) -> tuple[list, GeneCountsPartial | None, dict]:
+) -> tuple[AlignmentColumns | list, GeneCountsPartial | None, dict]:
     """Inverse of :func:`encode_shard_payload`: yields the exact tuple the
-    pure per-shard function would have returned."""
+    pure per-shard function would have returned.
+
+    Single-end payloads decode to :class:`AlignmentColumns` whatever
+    their version: version 2 carries columns, version 1 (no ``"v"``)
+    one encoded :class:`ReadAlignment` list per read under ``"o"``.
+    """
     stats = dict(payload["ss"])
     stats["fallback_depths"] = {
         int(d): c for d, c in stats["fallback_depths"].items()
     }
     if "po" in payload:
         outcomes = [_decode_pair(v) for v in payload["po"]]
+    elif payload.get("v") == 2:
+        outcomes = AlignmentColumns(**payload["c"])
     else:
-        outcomes = [_decode_outcome(v) for v in payload["o"]]
+        outcomes = AlignmentColumns.from_records(
+            _decode_outcome(v) for v in payload["o"]
+        )
     return (
         outcomes,
         _decode_partial(payload["gc"]),
@@ -602,7 +629,7 @@ class ShardCheckpointer:
 
     def load(
         self, start: int, end: int
-    ) -> tuple[list[ReadAlignment], GeneCountsPartial | None, dict] | None:
+    ) -> tuple[AlignmentColumns | list, GeneCountsPartial | None, dict] | None:
         record = self._cached.get((start, end))
         if record is None or record.get("fp") != self.fingerprint:
             return None
@@ -613,7 +640,7 @@ class ShardCheckpointer:
         self,
         start: int,
         end: int,
-        outcomes: list[ReadAlignment],
+        outcomes: AlignmentColumns | list,
         partial: GeneCountsPartial | None,
         seed_stats: dict,
     ) -> None:

@@ -173,8 +173,9 @@ class AlignStage:
     chunk from the ``fasterq-dump`` stage, or a streamed download's live
     feed.  ``prepare`` trims them when configured (single-end only;
     trimming works on records, and streamed batches reject it),
-    consumes any scripted ``engine_worker`` fault, and resolves the
-    backend.  ``run`` is retry-safe: the scripted ``align`` fault check
+    starts the engine when the requested backend can use it (``"auto"``
+    or ``"engine"``), consumes any scripted ``engine_worker`` fault, and
+    resolves the backend.  ``run`` is retry-safe: the scripted ``align`` fault check
     fires before any read is consumed, and the stateful early-stop
     monitor is rebuilt per attempt so a retried alignment sees the same
     cadence as an unfaulted run.
@@ -194,7 +195,13 @@ class AlignStage:
             )
             ctx.reads = ReadChunkStream.whole(records)
         batch_size = ctx.batch.align_batch_size
-        engine = pipeline._get_engine(batch_size)
+        requested = ctx.batch.options.backend or "auto"
+        # only the backends that can run on the engine start it
+        engine = (
+            pipeline._get_engine(batch_size)
+            if requested in ("auto", "engine")
+            else None
+        )
         if (
             engine is not None
             and cfg.fault_plan is not None
@@ -209,10 +216,10 @@ class AlignStage:
             pipeline.aligner,
             engine,
             paired=ctx.paired,
-            requested=ctx.batch.options.backend,
+            requested=requested,
             faas=(
                 pipeline._get_faas_backend(batch_size)
-                if ctx.batch.options.backend == "faas"
+                if requested == "faas"
                 else None
             ),
             batch_size=batch_size,

@@ -173,12 +173,16 @@ class _ContigIndex(NamedTuple):
     #: longest gene extent on the contig: a gene ending after ``s``
     #: starts after ``s - longest``
     longest: int
+    #: ``(starts, ends, ordinals)`` as int64 arrays, for batch queries
+    arrays: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class _Lookup(NamedTuple):
     #: gene id -> annotation ordinal
     ordinals: dict[str, int]
     contigs: dict[str, _ContigIndex]
+    #: per annotation ordinal: True for a forward-strand gene
+    forward: np.ndarray
 
 
 @dataclass
@@ -231,9 +235,18 @@ class Annotation:
                 extents.sort()
                 starts, ordinals, ends = map(list, zip(*extents))
                 longest = max(e - s for s, _, e in extents)
-                contigs[contig] = _ContigIndex(starts, ends, ordinals, longest)
+                arrays = tuple(
+                    np.array(column, dtype=np.int64)
+                    for column in (starts, ends, ordinals)
+                )
+                contigs[contig] = _ContigIndex(
+                    starts, ends, ordinals, longest, arrays
+                )
             by_id = {g.gene_id: i for i, g in enumerate(self.genes)}
-            self._lookup = _Lookup(by_id, contigs)
+            forward = np.array(
+                [g.strand is Strand.FORWARD for g in self.genes], dtype=bool
+            )
+            self._lookup = _Lookup(by_id, contigs, forward)
         return self._lookup
 
     def ordinal(self, gene_id: str) -> int:
@@ -284,6 +297,38 @@ class Annotation:
         ends, ordinals = idx.ends, idx.ordinals
         hits = sorted(ordinals[row] for row in range(lo, hi) if ends[row] > s)
         return [self.genes[i] for i in hits]
+
+    def overlap_pairs(
+        self, contig: str, starts: np.ndarray, ends: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`overlapping_genes` for many regions on one contig at once.
+
+        Region ``i`` is ``[starts[i], ends[i])``.  Returns ``(rows,
+        genes)``: region ``rows[k]`` overlaps the gene of annotation
+        ordinal ``genes[k]``, one pair per overlap, in region order.  Each
+        region's candidate window comes from one ``searchsorted`` pair
+        and the windows expand CSR-style, so the cost follows the rows
+        hit, not the genes on the contig.
+        """
+        empty = np.zeros(0, dtype=np.int64)
+        idx = self._index().contigs.get(contig)
+        if idx is None or not len(starts):
+            return empty, empty
+        gene_starts, gene_ends, ordinals = idx.arrays
+        lo = np.searchsorted(gene_starts, starts - idx.longest, side="right")
+        hi = np.maximum(np.searchsorted(gene_starts, ends, side="left"), lo)
+        width = hi - lo
+        rows = np.repeat(np.arange(width.size, dtype=np.int64), width)
+        first = np.cumsum(width) - width
+        candidate = np.repeat(lo - first, width) + np.arange(
+            rows.size, dtype=np.int64
+        )
+        hit = gene_ends[candidate] > starts[rows]
+        return rows[hit], ordinals[candidate[hit]]
+
+    def forward_genes(self) -> np.ndarray:
+        """Per annotation ordinal: True for a forward-strand gene."""
+        return self._index().forward
 
     def splice_junctions(self) -> list[tuple[str, int, int]]:
         """The annotated junction database: (contig, donor_end, acceptor_start).

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from repro.align.batch import align_read_batch
+from repro.align.counts import GeneCounts
 from repro.align.index import GenomeIndex
 from repro.align.paired import PairedParameters, PairedStarAligner
-from repro.align.star import StarAligner, StarParameters
+from repro.align.progress import ProgressRecord
+from repro.align.star import AlignmentStatus, StarAligner, StarParameters
 from repro.align.suffix_array import build_suffix_array
 from repro.genome.alphabet import BASE_N, reverse_complement
 from repro.reads.fastq import FastqRecord
@@ -123,6 +125,99 @@ class TestRandomGenomes:
         assert_batch_matches(aligner, records)
 
 
+def planted_index(rng, repeats) -> tuple[GenomeIndex, list[np.ndarray]]:
+    """A random 3-contig genome with ``repeats`` (copies of each planted
+    50-mer) laid inside contigs; returns the index and the 50-mers."""
+    contig_len = 700
+    genome = rng.integers(0, 4, 3 * contig_len).astype(np.uint8)
+    kmers = []
+    slot = 0
+    for copies in repeats:
+        kmer = rng.integers(0, 4, 50).astype(np.uint8)
+        kmers.append(kmer)
+        for _ in range(copies):
+            contig, k = divmod(slot, 6)
+            start = contig * contig_len + 10 + 110 * k
+            genome[start : start + 50] = kmer
+            slot += 1
+    offsets = np.arange(0, 4 * contig_len, contig_len, dtype=np.int64)
+    index = GenomeIndex(
+        assembly_name="planted",
+        genome=genome,
+        suffix_array=build_suffix_array(genome),
+        offsets=offsets,
+        names=["c0", "c1", "c2"],
+    )
+    return index, kmers
+
+
+class TestOutcomeKinds:
+    """Each classification outcome, batch core against the oracle."""
+
+    def test_every_status_and_zero_length_reads(self):
+        rng = np.random.default_rng(21)
+        index, (multi, too_many) = planted_index(rng, repeats=(3, 6))
+        aligner = StarAligner(
+            index, StarParameters(quant_gene_counts=False, multimap_nmax=4)
+        )
+        empty = np.zeros(0, dtype=np.uint8)
+        unique = index.genome[1450:1510]  # after every planted copy
+        records = [
+            as_record(unique, "unique"),
+            as_record(reverse_complement(unique), "unique_rc"),
+            as_record(empty, "empty0"),
+            as_record(multi, "multi"),
+            as_record(reverse_complement(multi), "multi_rc"),
+            as_record(too_many, "too_many"),
+            as_record(empty, "empty1"),
+            as_record(rng.integers(0, 4, 60).astype(np.uint8), "noise"),
+            as_record(empty, "empty2"),
+        ]
+        want = oracle(aligner, records)
+        assert [o.status.value for o in want] == [
+            "unique", "unique", "unmapped", "multimapped", "multimapped",
+            "too_many_loci", "unmapped", "unmapped", "unmapped",
+        ]
+        assert [o.n_loci for o in want[3:6]] == [3, 3, 6]
+        got = align_read_batch(aligner, records)
+        assert got == want
+        assert list(got) == want and [got[i] for i in range(len(got))] == want
+
+    def test_bridge_rescued_reads(self, monkeypatch):
+        """Reads whose early error leaves the prefix seed without an
+        accepted placement, rescued by the error-bridge re-seed."""
+        import repro.align.star as star
+
+        rng = np.random.default_rng(33)
+        index = random_index(rng, contig_len=600)
+        aligner = StarAligner(index, StarParameters(quant_gene_counts=False))
+        records = []
+        for i in range(60):
+            start = int(rng.integers(0, index.genome.size - 60))
+            seq = index.genome[start : start + 60].copy()
+            j = int(rng.integers(2, 8))
+            seq[j] = (seq[j] + 1 + int(rng.integers(0, 3))) % 4
+            records.append(as_record(seq, f"e{i}"))
+        seeds = []
+        mmp = star.maximal_mappable_prefix
+
+        def counting(index, read, **kwargs):
+            seeds.append(kwargs.get("read_start", 0))
+            return mmp(index, read, **kwargs)
+
+        monkeypatch.setattr(star, "maximal_mappable_prefix", counting)
+        want = []
+        rescued = 0
+        for record in records:
+            seeds.clear()
+            want.append(aligner.align_read(record))
+            bridged = any(s > 0 for s in seeds)
+            rescued += bridged and want[-1].status.is_mapped
+        monkeypatch.undo()
+        assert rescued >= 5
+        assert align_read_batch(aligner, records) == want
+
+
 class TestSimulatedSample:
     def test_bulk_sample_bit_identical(self, index_r111, bulk_sample):
         aligner = StarAligner(index_r111, StarParameters())
@@ -204,3 +299,60 @@ class TestEarlyStopMidBatch:
         assert on.outcomes == off.outcomes
         assert len(on.outcomes) == 90
         assert on.final.reads_processed == off.final.reads_processed
+
+    @pytest.mark.parametrize("stop_at", [1, 3, 4])
+    def test_abort_mid_shard_matches_per_read_merge(
+        self, index_r111, bulk_sample, stop_at
+    ):
+        """The shard-at-a-time merge reproduces the read-at-a-time one: a
+        snapshot every ``progress_every`` reads with running counts, the
+        abort at the same read, and gene counts and final statistics
+        over exactly the consumed prefix."""
+        records = list(bulk_sample.records)
+        aligner = StarAligner(
+            index_r111, StarParameters(progress_every=30, align_batch_size=64)
+        )
+        seen = []
+
+        def monitor(rec):
+            seen.append(rec)
+            return len(seen) < stop_at
+
+        result = aligner.run(records, monitor=monitor, clock=lambda: 0.0)
+
+        # the read-at-a-time reference over the oracle's outcomes
+        outcomes = oracle(aligner, records)
+        unique = multi = 0
+        want_progress = []
+        for n, o in enumerate(outcomes, 1):
+            unique += o.status is AlignmentStatus.UNIQUE
+            multi += o.status is AlignmentStatus.MULTIMAPPED
+            if n % 30 == 0:
+                want_progress.append(
+                    ProgressRecord(0.0, n, len(records), unique, multi)
+                )
+                if len(want_progress) == stop_at:
+                    break
+        kept = outcomes[: 30 * stop_at]
+        counts = GeneCounts(index_r111.annotation)
+        for o in kept:
+            if o.status is AlignmentStatus.UNIQUE:
+                counts.record_unique(list(o.blocks), o.strand)
+            elif o.status is AlignmentStatus.UNMAPPED:
+                counts.record_unmapped()
+            else:
+                counts.record_multimapped()
+        uniques = [o for o in kept if o.status is AlignmentStatus.UNIQUE]
+
+        assert result.aborted
+        assert result.progress == seen == want_progress
+        assert result.outcomes == kept
+        assert result.gene_counts == counts
+        assert result.gene_counts.to_tab() == counts.to_tab()
+        final = result.final
+        assert (final.mapped_unique, final.mapped_multi) == (unique, multi)
+        assert final.reads_processed == len(kept)
+        assert final.spliced_reads == sum(o.spliced for o in uniques)
+        assert final.mismatch_rate == sum(o.mismatches for o in uniques) / sum(
+            b.end - b.start for o in uniques for b in o.blocks
+        )

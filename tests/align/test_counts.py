@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align.counts import GeneCounts, read_counts_tab
+from repro.align.outcome import AlignmentColumns
+from repro.align.star import AlignmentStatus, ReadAlignment
 from repro.genome.annotation import Annotation, Exon, Gene, Strand, Transcript
 from repro.genome.model import SequenceRegion
 
@@ -275,6 +277,111 @@ class TestShardPartials:
         other = Annotation([make_gene(9, "1", [(0, 10)], Strand.FORWARD)])
         with pytest.raises(KeyError):
             GeneCounts(other).merge_partial(partial)
+
+
+# -- whole-shard counting: record_columns equals the per-read loop ------------
+
+# like ``reads``, plus too-many-loci reads and blocks on any contig (two
+# blocks make a spliced read; "X" carries no gene; coordinate 0 and
+# blocks past every gene cover the contig edges)
+shard_reads = st.one_of(
+    st.just("unmapped"),
+    st.just("multi"),
+    st.just("too_many"),
+    st.tuples(
+        st.lists(
+            st.tuples(
+                st.sampled_from(CONTIGS + ("X",)),
+                st.integers(0, 150),
+                st.integers(0, 30),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.sampled_from(list(Strand)),
+    ),
+)
+
+
+def alignment(i, read) -> ReadAlignment:
+    rid = f"r{i}"
+    if read == "unmapped":
+        return ReadAlignment(rid, AlignmentStatus.UNMAPPED)
+    if read == "multi":
+        return ReadAlignment(rid, AlignmentStatus.MULTIMAPPED, Strand.FORWARD, 7, 2)
+    if read == "too_many":
+        return ReadAlignment(rid, AlignmentStatus.TOO_MANY_LOCI, n_loci=20)
+    blocks, strand = read
+    return ReadAlignment(
+        rid,
+        AlignmentStatus.UNIQUE,
+        strand,
+        n_loci=1,
+        blocks=tuple(SequenceRegion(c, s, s + n) for c, s, n in blocks),
+        spliced=len(blocks) > 1,
+    )
+
+
+def looped(ann, outcomes) -> GeneCounts:
+    """The per-read rule, one call per read."""
+    gc = GeneCounts(ann)
+    for o in outcomes:
+        if o.status is AlignmentStatus.UNIQUE:
+            gc.record_unique(list(o.blocks), o.strand)
+        elif o.status is AlignmentStatus.UNMAPPED:
+            gc.record_unmapped()
+        else:
+            gc.record_multimapped()
+    return gc
+
+
+def columnar(ann, columns) -> GeneCounts:
+    gc = GeneCounts(ann)
+    gc.record_columns(columns)
+    return gc
+
+
+class TestRecordColumns:
+    @given(
+        gene_specs,
+        st.lists(shard_reads, max_size=40),
+        st.integers(0, 40),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_record_unique_loop(self, specs, rs, a, b):
+        ann = build_annotation(specs)
+        outcomes = [alignment(i, r) for i, r in enumerate(rs)]
+        columns = AlignmentColumns.from_records(outcomes)
+        want = looped(ann, outcomes)
+        got = columnar(ann, columns)
+        assert got == want
+        assert got.to_partial() == want.to_partial()
+        assert got.to_tab() == want.to_tab()
+        # a slice's blocks start mid-array
+        lo, hi = sorted((min(a, len(rs)), min(b, len(rs))))
+        assert columnar(ann, columns[lo:hi]) == looped(ann, outcomes[lo:hi])
+
+    def test_overlaps_strands_and_spliced_reads(self, annotation):
+        outcomes = [
+            alignment(0, ([("1", 10, 80)], Strand.FORWARD)),  # G1
+            alignment(1, ([("1", 210, 50)], Strand.FORWARD)),  # G2, opposite
+            alignment(2, ([("1", 285, 10)], Strand.REVERSE)),  # G2 + G3
+            # spliced inside G1, and spliced across G1 and G2
+            alignment(3, ([("1", 10, 10), ("1", 60, 10)], Strand.FORWARD)),
+            alignment(4, ([("1", 90, 20), ("1", 250, 10)], Strand.REVERSE)),
+            alignment(5, ([("1", 0, 1)], Strand.REVERSE)),  # contig start
+            alignment(6, ([("1", 399, 5)], Strand.FORWARD)),  # G3's last base
+            alignment(7, ([("1", 400, 5)], Strand.FORWARD)),  # just past G3
+            alignment(8, ([("2", 10, 10)], Strand.FORWARD)),  # no genes
+            alignment(9, "unmapped"),
+            alignment(10, "too_many"),
+        ]
+        got = columnar(annotation, AlignmentColumns.from_records(outcomes))
+        assert got == looped(annotation, outcomes)
+        assert got.counts["G1"] == {"unstranded": 3, "forward": 2, "reverse": 2}
+        assert got.n_ambiguous["unstranded"] == 2
+        assert got.n_multimapping == 1 and got.n_unmapped == 1
 
 
 # -- the cached index stays out of pickles ------------------------------------

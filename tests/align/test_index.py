@@ -72,6 +72,28 @@ class TestSjdb:
         assert index_r111.is_annotated_junction(donor, acceptor)
         assert not index_r111.is_annotated_junction(donor + 1, acceptor)
 
+    def test_batched_check_matches_scalar_check(self, index_r111):
+        """Every annotated junction, its off-by-one neighbours and pairs
+        spanning two contigs answer as the scalar check does."""
+        donors, acceptors = [], []
+        for contig, start, end in sorted(index_r111.sjdb):
+            donor = index_r111.to_absolute(contig, start)
+            acceptor = index_r111.to_absolute(contig, end)
+            for dd, da in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
+                donors.append(donor + dd)
+                acceptors.append(acceptor + da)
+        offsets = [int(o) for o in index_r111.offsets]
+        for c in range(1, len(offsets) - 1):
+            donors.append(offsets[c] - 5)
+            acceptors.append(offsets[c] + 5)
+        want = [
+            index_r111.is_annotated_junction(d, a)
+            for d, a in zip(donors, acceptors)
+        ]
+        got = index_r111.annotated_junctions(np.array(donors), np.array(acceptors))
+        assert got.tolist() == want
+        assert any(want) and not all(want)
+
 
 class TestSize:
     def test_size_dominated_by_suffix_array(self, small_index):

@@ -1,14 +1,21 @@
 """Checkpoint/resume and graceful-drain semantics of the journaled batch."""
 
+import gc
+import json
 import math
+import shutil
 import signal
 import threading
 import time
+import warnings
+from pathlib import Path
 
 import pytest
 
+from repro.align.star import StarAligner, StarParameters
 from repro.core.early_stopping import EarlyStoppingPolicy
 from repro.core.journal import RunJournal
+from repro.core.resilience import FaultPlan
 from repro.core.pipeline import (
     BatchOptions,
     BatchRunner,
@@ -254,6 +261,7 @@ class TestGracefulDrain:
         thread.start()
         results = pipeline.run_batch(ACCESSIONS, BatchOptions(journal=journal))
         thread.join()
+        journal.close()  # the caller's journal: run_batch leaves it open
 
         assert 1 <= len(results) < len(ACCESSIONS)
         finished = [r for r in results if r.status.terminal]
@@ -280,9 +288,10 @@ class TestGracefulDrain:
         pipeline = make_pipeline(repository, aligner_r111, tmp_path / "w")
         pipeline._drain_deadline_at = time.monotonic() - 1.0
         pipeline._drain.set()
-        result = BatchRunner(
-            pipeline, BatchOptions(), RunJournal(journal_path)
-        ).execute(ACCESSIONS[0])
+        with RunJournal(journal_path) as journal:
+            result = BatchRunner(pipeline, BatchOptions(), journal).execute(
+                ACCESSIONS[0]
+            )
         assert result.status is RunStatus.DRAINED
         assert not result.status.terminal
         assert result.counts is None
@@ -305,6 +314,131 @@ class TestGracefulDrain:
         assert pipeline._engine is not None
         assert pipeline.drain(timeout=10.0)
         assert pipeline._engine is None
+
+
+#: a shard-checkpoint journal written before single-end shard payloads
+#: became columns: ``align.shard`` records carry one encoded outcome list
+#: per read under ``"o"`` (no ``"v"``), and the ``completed`` records are
+#: cut so a resume must rebuild both accessions from their shards
+V1_JOURNAL = Path(__file__).parent / "data" / "v1_se_shard_journal.jsonl"
+V1_ACCESSIONS = ["SRRV10001", "SRRV10002"]
+
+
+class TestVersion1ShardJournal:
+    @pytest.fixture(scope="class")
+    def v1_repository(self, simulator):
+        repo = SraRepository()
+        for i, acc in enumerate(V1_ACCESSIONS):
+            sample = simulator.simulate(
+                SampleProfile(LibraryType.BULK_POLYA, n_reads=96, read_length=80),
+                rng=900 + i,
+                read_id_prefix=acc,
+            )
+            repo.deposit(SraArchive(acc, LibraryType.BULK_POLYA, sample.records))
+        return repo
+
+    def test_fixture_holds_version_1_payloads(self):
+        records = [json.loads(line) for line in V1_JOURNAL.read_text().splitlines()]
+        shards = [r["shard"] for r in records if r["t"] == "align.shard"]
+        assert len(shards) == 6  # 2 accessions x 96 reads in 32-read shards
+        assert all("o" in s and "v" not in s for s in shards)
+        assert not any(r["t"] == "completed" for r in records)
+
+    def test_resume_replays_version_1_shards(
+        self, v1_repository, index_r111, tmp_path
+    ):
+        aligner = StarAligner(index_r111, StarParameters(align_batch_size=32))
+        journal_path = tmp_path / "run.jsonl"
+        shutil.copy(V1_JOURNAL, journal_path)
+        config = PipelineConfig(write_outputs=False)
+        resumed_pipeline = TranscriptomicsAtlasPipeline(
+            v1_repository, aligner, tmp_path / "a", config=config
+        )
+        resumed = resumed_pipeline.run_batch(
+            V1_ACCESSIONS,
+            BatchOptions(journal=journal_path, resume=True, shard_checkpoints=True),
+        )
+        assert resumed_pipeline.shard_checkpoint_summary() == {
+            "hits": 6,
+            "recorded": 0,
+        }
+        reference = TranscriptomicsAtlasPipeline(
+            v1_repository, aligner, tmp_path / "b", config=config
+        ).run_batch(V1_ACCESSIONS)
+        assert [r.status for r in resumed] == [RunStatus.ACCEPTED] * 2
+        assert [comparable(r) for r in resumed] == [
+            comparable(r) for r in reference
+        ]
+        for got, want in zip(resumed, reference):
+            assert got.star_result.outcomes == want.star_result.outcomes
+            assert (
+                got.star_result.gene_counts.to_tab()
+                == want.star_result.gene_counts.to_tab()
+            )
+
+
+class TestBatchResources:
+    """What a batch opens or starts it does not leave behind."""
+
+    def test_path_journal_closed_after_batch(
+        self, repository, aligner_r111, tmp_path
+    ):
+        """A journal ``run_batch`` opened from a path is closed when the
+        batch returns: dropping the pipeline leaks no open file."""
+        pipeline = make_pipeline(repository, aligner_r111, tmp_path / "w")
+        journal_path = tmp_path / "run.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            pipeline.run_batch(
+                ACCESSIONS[:2],
+                BatchOptions(journal=journal_path, shard_checkpoints=True),
+            )
+            del pipeline
+            gc.collect()
+        leaks = [
+            str(w.message)
+            for w in caught
+            if issubclass(w.category, ResourceWarning)
+            and str(journal_path) in str(w.message)
+        ]
+        assert not leaks, leaks
+        assert set(RunJournal(journal_path).replay().terminal) == set(
+            ACCESSIONS[:2]
+        )
+
+    def test_caller_journal_left_open(self, repository, aligner_r111, tmp_path):
+        pipeline = make_pipeline(repository, aligner_r111, tmp_path / "w")
+        with RunJournal(tmp_path / "run.jsonl") as journal:
+            pipeline.run_batch(ACCESSIONS[:1], BatchOptions(journal=journal))
+            assert journal._fh is not None and not journal._fh.closed
+
+    @pytest.mark.parametrize("backend", ["serial", "faas"])
+    def test_engine_not_started_for_backends_without_it(
+        self, repository, aligner_r111, tmp_path, backend
+    ):
+        plan = FaultPlan.parse(f"engine_worker:{ACCESSIONS[0]}:transient*1")
+        pipeline = make_pipeline(
+            repository, aligner_r111, tmp_path / "w", workers=2, fault_plan=plan
+        )
+        results = pipeline.run_batch(
+            ACCESSIONS[:1], BatchOptions(backend=backend)
+        )
+        assert results[0].status is RunStatus.ACCEPTED
+        assert pipeline._engine is None
+        assert plan.injected == {}  # no pool, so no worker to kill
+
+    def test_auto_backend_starts_engine_and_fires_worker_fault(
+        self, repository, aligner_r111, tmp_path
+    ):
+        plan = FaultPlan.parse(f"engine_worker:{ACCESSIONS[0]}:transient*1")
+        with make_pipeline(
+            repository, aligner_r111, tmp_path / "w", workers=2, fault_plan=plan
+        ) as pipeline:
+            results = pipeline.run_batch(ACCESSIONS[:1])
+            assert results[0].status is RunStatus.ACCEPTED
+            assert pipeline._engine is not None
+            assert plan.injected == {"engine_worker": 1}
+            assert pipeline._engine.health.worker_failures >= 1
 
 
 class TestSignalHandling:

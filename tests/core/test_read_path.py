@@ -3,6 +3,9 @@
 Reads travel from the archive to the batch core as columns: the
 ``fasterq-dump`` stage and the streamed download decode the payload once,
 and nothing between there and the alignment builds a per-read object.
+Outcomes travel on as columns too: a single-end batch without SAM output
+builds no per-read alignment object and counts genes without the
+per-read GeneCounts call.
 Sequential and streamed runs cut read ids by one rule, so their outcomes
 and shard checkpoints cannot drift apart.
 """
@@ -11,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.align.backend import FaasAlignerBackend, ReadChunkStream
-from repro.align.star import StarAligner, StarParameters
+from repro.align.counts import GeneCounts
+from repro.align.star import ReadAlignment, StarAligner, StarParameters
 from repro.cloud.faas import FaasLimits, FaasService
 from repro.core.journal import RunJournal
 from repro.core.pipeline import (
@@ -81,6 +85,44 @@ class TestNoRecordsOnTheAlignPath:
         assert [r.status for r in results] == [RunStatus.ACCEPTED] * len(ACCS)
         assert all(len(r.star_result.outcomes) == 150 for r in results)
         assert built == []
+
+
+class TestNoOutcomeObjectsOnTheAlignPath:
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"streaming": True}, {"shard_checkpoints": True}],
+        ids=["dumped", "streamed", "shard_checkpoints"],
+    )
+    def test_run_batch_builds_no_read_alignments(
+        self, repository, aligner, tmp_path, monkeypatch, options
+    ):
+        built = []
+        record_unique_calls = []
+        init = ReadAlignment.__init__
+        record_unique = GeneCounts.record_unique
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[:1])
+            init(self, *args, **kwargs)
+
+        def counting_record_unique(self, *args, **kwargs):
+            record_unique_calls.append(args)
+            record_unique(self, *args, **kwargs)
+
+        monkeypatch.setattr(ReadAlignment, "__init__", counting_init)
+        monkeypatch.setattr(GeneCounts, "record_unique", counting_record_unique)
+        journal = {"journal": tmp_path / "run.jsonl"} if options else {}
+        results = pipeline(repository, aligner, tmp_path / "w").run_batch(
+            ACCS, BatchOptions(**options, **journal)
+        )
+        assert [r.status for r in results] == [RunStatus.ACCEPTED] * len(ACCS)
+        assert all(r.counts and sum(r.counts.values()) for r in results)
+        assert built == []
+        assert record_unique_calls == []
+        # the outcomes are all there, built on demand
+        assert len(results[0].star_result.outcomes) == 150
+        assert results[0].star_result.outcomes[0].read_id == f"{ACCS[0]}.0"
+        assert len(built) == 1
 
 
 class TestOneReadIdRule:

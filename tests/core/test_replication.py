@@ -18,6 +18,7 @@ from repro.core.replication import (
     ReplicatedJournal,
     SegmentReplicator,
     ShardCheckpointer,
+    _encode_outcome,
     decode_shard_payload,
     encode_shard_payload,
     reconstruct_journal,
@@ -266,6 +267,22 @@ class TestShardCodecs:
         assert all(
             isinstance(k, int) for k in stats2["fallback_depths"]
         )
+
+
+    def test_single_end_payload_is_version_2_columns(self):
+        payload = encode_shard_payload(make_outcomes(), None, make_seed_stats())
+        assert payload["v"] == 2 and "o" not in payload
+        assert payload["c"]["ids"] == ["r1", "r2"]
+
+    def test_version_1_payload_still_decodes(self):
+        """Journals written before the columns hold one encoded list per
+        read under ``"o"``; they decode to the same outcomes."""
+        payload = encode_shard_payload([], None, make_seed_stats())
+        del payload["v"], payload["c"]
+        payload["o"] = [_encode_outcome(o) for o in make_outcomes()]
+        outcomes, _, stats = decode_shard_payload(json.loads(json.dumps(payload)))
+        assert outcomes == make_outcomes()
+        assert stats == make_seed_stats()
 
 
 class TestShardCheckpointer:

@@ -505,6 +505,7 @@ class TestStreamedJournal:
             ),
         )
         thread.join()
+        journal.close()  # the caller's journal: run_batch leaves it open
 
         assert 1 <= len(results) < len(ALL)
         finished = [r for r in results if r.status is not RunStatus.DRAINED]
